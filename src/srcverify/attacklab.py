@@ -10,8 +10,9 @@ from the profile under test, and evaluate an observable predicate:
   R8     the disclosed identity admits two readings
 
 assert_matrix() replays every (scenario, profile) cell and compares it
-against the expected exploitability table.  scan_config() is the static
-counterpart: it maps enabled unsafe toggles to the class they reproduce.
+against the expected exploitability table.  GUARDS records, per config
+field, the scenario its naive value reopens; scan_config() (the static
+counterpart) and flip_field() both read it.
 filter_r1_candidates() narrows a bytecode corpus to codes whose trailing
 0.4-era metadata block makes them replayable by a hand-written twin.
 
@@ -24,8 +25,9 @@ from __future__ import annotations
 import json
 import tempfile
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ._keccak import keccak256
 from .bytecode import disassemble
@@ -46,7 +48,7 @@ from .errors import (
     VerifierError,
 )
 from .linker import PlaceholderForm, PlaceholderMode, PlaceholderSpan
-from .matching import MatchPolicy, MetadataLabeler, Requirement
+from .matching import MetadataLabeler
 from .metadata import (
     INJECTED_FILENAME,
     LEGACY_BLOCK_LENGTH,
@@ -715,7 +717,76 @@ def assert_matrix() -> dict[tuple[str, str], ExploitOutcome]:
     return outcomes
 
 
-# --- config lint ---
+# --- the guard table ---
+
+class Guard(NamedTuple):
+    """What one config field guards, and how its naive setting reads."""
+
+    scenario: str | None         # the scenario the naive value reopens
+    naive: object                # the field's naive value
+    note: str = ""               # scan_config's finding for the naive value
+    requires: str | None = None  # a bool field that must be on for it to count
+    canonical: bool = False      # the field flipped to demonstrate the scenario
+
+
+# Keyed by config field, dotted for policy sub-fields, in scan_config's order.
+GUARDS: dict[str, Guard] = {
+    "inherit_flagged_donors": Guard(
+        "R1", True,
+        "runtime-hash inheritance accepts donors whose match came from "
+        "hand-written assembly, auto-labeling every identical deployment",
+        requires="inherit_identical_runtime", canonical=True),
+    "trust_simulated_return": Guard(
+        "R2", True,
+        "simulated constructor return is compared against the chain "
+        "without checking it against the compiled template", canonical=True),
+    "accept_imported_records": Guard(
+        "R2", True,
+        "records imported from another instance are adopted wholesale, "
+        "extending any upstream exploit"),
+    "policy.allow_empty_prefix": Guard(
+        "R3", True,
+        "zero local bytes prefix-match any creation transaction",
+        canonical=True),
+    "policy.validate_ctor_args": Guard(
+        "R3", False,
+        "trailing creation-tx bytes pass unchecked as constructor "
+        "arguments"),
+    "recheck_code_hash_on_read": Guard(
+        "R4", False,
+        "queries serve stored sources without comparing the live code "
+        "hash, so destroy-and-redeploy goes unnoticed", canonical=True),
+    "require_verified_libraries": Guard(
+        "R5", False,
+        "library bindings to never-verified addresses are stored "
+        "without a warning", canonical=True),
+    "placeholder_mode": Guard(
+        "R6", PlaceholderMode.REGEX_NAIVE,
+        "placeholder text is compiled as an unescaped regex, so crafted "
+        "link names rewrite code sites beyond the declared span"),
+    "metadata_labeler": Guard(
+        "R6", MetadataLabeler.DIFFERENTIAL,
+        "differential span expansion anchors on a bare block-head byte "
+        "and can swallow real code into the masked region", canonical=True),
+    "allow_parent_path_refs": Guard(
+        "R7", True,
+        "virtual source paths pass through unsanitized and can rewrite "
+        "a foreign record's files", canonical=True),
+    "disclose_full_paths": Guard(
+        "R8", False,
+        "views show bare contract names and basenames, which collide "
+        "when two files declare the same name", canonical=True),
+    "immutable_strategy": Guard(None, ImmutableStrategy.CHAIN_BACKFILL),
+    "inherit_identical_runtime": Guard(None, False),
+    "allow_record_replacement": Guard(None, False),
+}
+
+TOGGLE_RISKS: dict[str, str | None] = {
+    path.partition(".")[0]: guard.scenario for path, guard in GUARDS.items()}
+
+CANONICAL_TOGGLE: dict[str, str] = {
+    guard.scenario: path.partition(".")[0]
+    for path, guard in GUARDS.items() if guard.canonical}
 
 _RESIDUAL_NOTE = (
     "partial-matching", "R1",
@@ -724,115 +795,34 @@ _RESIDUAL_NOTE = (
     "refusal) rather than eliminating it")
 
 
+def _value(config: VerifierConfig, path: str):
+    return reduce(getattr, path.split("."), config)
+
+
 def scan_config(config: VerifierConfig) -> list[tuple[str, str, str]]:
     """Map enabled unsafe toggles to the vulnerability class each reproduces."""
-    findings = [_RESIDUAL_NOTE]
-    if config.inherit_identical_runtime and config.inherit_flagged_donors:
-        findings.append((
-            "inherit_flagged_donors", "R1",
-            "runtime-hash inheritance accepts donors whose match came from "
-            "hand-written assembly, auto-labeling every identical deployment"))
-    if config.trust_simulated_return:
-        findings.append((
-            "trust_simulated_return", "R2",
-            "simulated constructor return is compared against the chain "
-            "without checking it against the compiled template"))
-    if config.accept_imported_records:
-        findings.append((
-            "accept_imported_records", "R2",
-            "records imported from another instance are adopted wholesale, "
-            "extending any upstream exploit"))
-    if config.policy.allow_empty_prefix:
-        findings.append((
-            "policy.allow_empty_prefix", "R3",
-            "zero local bytes prefix-match any creation transaction"))
-    if not config.policy.validate_ctor_args:
-        findings.append((
-            "policy.validate_ctor_args", "R3",
-            "trailing creation-tx bytes pass unchecked as constructor "
-            "arguments"))
-    if not config.recheck_code_hash_on_read:
-        findings.append((
-            "recheck_code_hash_on_read", "R4",
-            "queries serve stored sources without comparing the live code "
-            "hash, so destroy-and-redeploy goes unnoticed"))
-    if not config.require_verified_libraries:
-        findings.append((
-            "require_verified_libraries", "R5",
-            "library bindings to never-verified addresses are stored "
-            "without a warning"))
-    if config.placeholder_mode is PlaceholderMode.REGEX_NAIVE:
-        findings.append((
-            "placeholder_mode", "R6",
-            "placeholder text is compiled as an unescaped regex, so crafted "
-            "link names rewrite code sites beyond the declared span"))
-    if config.metadata_labeler is MetadataLabeler.DIFFERENTIAL:
-        findings.append((
-            "metadata_labeler", "R6",
-            "differential span expansion anchors on a bare block-head byte "
-            "and can swallow real code into the masked region"))
-    if config.allow_parent_path_refs:
-        findings.append((
-            "allow_parent_path_refs", "R7",
-            "virtual source paths pass through unsanitized and can rewrite "
-            "a foreign record's files"))
-    if not config.disclose_full_paths:
-        findings.append((
-            "disclose_full_paths", "R8",
-            "views show bare contract names and basenames, which collide "
-            "when two files declare the same name"))
-    return findings
+    return [_RESIDUAL_NOTE] + [
+        (path, guard.scenario, guard.note) for path, guard in GUARDS.items()
+        if guard.scenario is not None and _value(config, path) == guard.naive
+        and (guard.requires is None or getattr(config, guard.requires))]
 
 
-# --- single-field sensitivity ---
-
-CANONICAL_TOGGLE: dict[str, str] = {
-    "R1": "inherit_flagged_donors",
-    "R2": "trust_simulated_return",
-    "R3": "policy",
-    "R4": "recheck_code_hash_on_read",
-    "R5": "require_verified_libraries",
-    "R6": "metadata_labeler",
-    "R7": "allow_parent_path_refs",
-    "R8": "disclose_full_paths",
-}
-
-TOGGLE_RISKS: dict[str, str | None] = {
-    "policy": "R3",
-    "immutable_strategy": None,
-    "placeholder_mode": "R6",
-    "metadata_labeler": "R6",
-    "trust_simulated_return": "R2",
-    "allow_parent_path_refs": "R7",
-    "disclose_full_paths": "R8",
-    "require_verified_libraries": "R5",
-    "recheck_code_hash_on_read": "R4",
-    "inherit_identical_runtime": None,
-    "inherit_flagged_donors": "R1",
-    "allow_record_replacement": None,
-    "accept_imported_records": "R2",
-}
-
-_NAIVE_FIELD_VALUES = {
-    "policy": MatchPolicy(Requirement.EITHER, allow_empty_prefix=True,
-                          validate_ctor_args=False),
-    "immutable_strategy": ImmutableStrategy.CHAIN_BACKFILL,
-    "placeholder_mode": PlaceholderMode.REGEX_NAIVE,
-    "metadata_labeler": MetadataLabeler.DIFFERENTIAL,
-}
+def _naive_value(field_name: str):
+    if field_name in GUARDS:
+        return GUARDS[field_name].naive
+    # a field guarded through its sub-fields is naive in all of them at once
+    return replace(getattr(HARDENED, field_name), **{
+        path.partition(".")[2]: guard.naive for path, guard in GUARDS.items()
+        if path.partition(".")[0] == field_name})
 
 
 def flip_field(config: VerifierConfig, field_name: str) -> VerifierConfig:
     """Toggle one config field between its hardened and naive setting."""
     if field_name not in TOGGLE_RISKS:
         raise ValueError(f"{field_name!r} is not a tunable config field")
-    current = getattr(config, field_name)
-    if isinstance(current, bool):
-        return replace(config, **{field_name: not current})
-    if field_name not in _NAIVE_FIELD_VALUES:
-        raise ValueError(f"{field_name!r} has no naive alternative to flip to")
-    naive = _NAIVE_FIELD_VALUES[field_name]
-    flipped = getattr(HARDENED, field_name) if current == naive else naive
+    naive = _naive_value(field_name)
+    flipped = (getattr(HARDENED, field_name)
+               if getattr(config, field_name) == naive else naive)
     return replace(config, **{field_name: flipped})
 
 

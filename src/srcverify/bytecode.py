@@ -42,6 +42,15 @@ def code_hash(code: bytes) -> bytes:
     return keccak256(code)
 
 
+def first_mismatch(a: bytes, b: bytes) -> int | None:
+    """First offset where a and b differ; the shorter length when one is a
+    prefix of the other; None when they are equal."""
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return i
+    return None if len(a) == len(b) else min(len(a), len(b))
+
+
 # Mnemonics for display and filters.  Unlisted opcodes render as UNKNOWN_xx;
 # they are still legal single-byte instructions to the disassembler.
 OPCODE_NAMES: dict[int, str] = {

@@ -22,7 +22,7 @@ from .attacklab import (
     run_poc,
     scan_config,
 )
-from .bytecode import parse_hex, render_hex
+from .bytecode import first_mismatch, parse_hex, render_hex
 from .chain import MockChain
 from .compiler import ExternalCompiler, VerificationRequest
 from .errors import VerifierError
@@ -113,16 +113,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_diff(args) -> int:
     a = parse_hex(args.hex_a)
     b = parse_hex(args.hex_b)
-    first = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
-    if first is None and len(a) != len(b):
-        first = min(len(a), len(b))
     spans_a = scan_metadata(a)
     spans_b = scan_metadata(b)
     print(json.dumps({
         "equal": a == b,
         "lengthA": len(a),
         "lengthB": len(b),
-        "firstMismatch": first,
+        "firstMismatch": first_mismatch(a, b),
         "equalAfterStrip": strip_spans(a, spans_a) == strip_spans(b, spans_b),
         "spansA": [[s.start, s.end] for s in spans_a],
         "spansB": [[s.start, s.end] for s in spans_b],

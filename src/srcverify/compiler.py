@@ -109,9 +109,14 @@ class VerificationRequest:
             raise MalformedRequestError(f"request is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "sources" not in payload:
             raise MalformedRequestError("request must be an object with sources")
+        sources = payload["sources"]
+        if not isinstance(sources, dict) or not all(
+                isinstance(body, str) for body in sources.values()):
+            raise MalformedRequestError(
+                "sources must map each path to its source text")
         address = payload.get("address")
         return cls(
-            sources=payload["sources"],
+            sources=sources,
             settings=CompileSettings.from_dict(payload.get("settings", {})),
             address=parse_hex(address) if address else None,
             declared_libraries=payload.get("libraries", {}),

@@ -155,7 +155,8 @@ class AbsolutePathError(VerifierError):
 
 
 class DuplicateAfterNormalizationError(VerifierError):
-    """Two virtual source paths collide once normalized."""
+    """Two virtual source paths collide once normalized, or one is a
+    directory of the other."""
 
 
 class CompilerFailureError(VerifierError):

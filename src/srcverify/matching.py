@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .abi import AbiParam, abi_validate_arguments
+from .bytecode import first_mismatch
 from .compiler import CompilationOutput
 from .errors import (
     AbiDecodeError,
@@ -89,13 +90,6 @@ class MatchResult:
     failure_reason: str | None = None
 
 
-def _first_mismatch(a: bytes, b: bytes) -> int | None:
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return i
-    return None if len(a) == len(b) else min(len(a), len(b))
-
-
 def match_creation(
     local: bytes,
     tx_input: bytes,
@@ -128,13 +122,13 @@ def match_creation(
             raise NotAPrefixError(
                 f"compiled creation code is not a prefix of the transaction "
                 f"input (first mismatch at "
-                f"{_first_mismatch(local, tx_input[:len(local)])})")
+                f"{first_mismatch(local, tx_input[:len(local)])})")
         stripped_local = strip_spans(local, spans)
         stripped_tx = strip_spans(tx_input[:len(local)], spans)
         if stripped_local != stripped_tx:
             raise NotAPrefixError(
                 f"creation code differs outside metadata spans (first "
-                f"mismatch at {_first_mismatch(stripped_local, stripped_tx)} "
+                f"mismatch at {first_mismatch(stripped_local, stripped_tx)} "
                 f"after stripping)")
         remainder = tx_input[len(local):]
         report.stripped_spans = list(spans)
@@ -218,7 +212,7 @@ def match_runtime(
         if any(s.end > len(onchain) for s in onchain_spans):
             report.failure_reason = (
                 "differential spans fall outside the on-chain code")
-            report.first_mismatch = _first_mismatch(local, onchain)
+            report.first_mismatch = first_mismatch(local, onchain)
             return report
     else:
         local_spans = scan_metadata(local)
@@ -227,7 +221,7 @@ def match_runtime(
                 [(s.start, s.end) for s in onchain_spans]:
             report.failure_reason = (
                 "metadata span layouts differ between local and on-chain code")
-            report.first_mismatch = _first_mismatch(local, onchain)
+            report.first_mismatch = first_mismatch(local, onchain)
             return report
 
     report.stripped_spans = list(local_spans)
@@ -237,7 +231,7 @@ def match_runtime(
         report.matched = True
         report.equal_after_normalization = True
     else:
-        report.first_mismatch = _first_mismatch(stripped_local, stripped_onchain)
+        report.first_mismatch = first_mismatch(stripped_local, stripped_onchain)
         report.failure_reason = (
             f"code differs outside metadata (first mismatch at "
             f"{report.first_mismatch} after stripping)")

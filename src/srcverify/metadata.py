@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .bytecode import first_mismatch
 from .errors import (
     NonConvergentError,
     OverlappingSpansError,
@@ -189,13 +190,6 @@ class DifferentialTrace:
         ]
 
 
-def _first_diff(a: bytes, b: bytearray) -> int | None:
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return i
-    return None
-
-
 def _expand_to_block(baseline: bytes, index: int) -> MetadataSpan | None:
     """Nearest plausible block start at or before index.
 
@@ -244,7 +238,7 @@ def differential_extract(compiler, request, artifact: str = "runtime",
     work = bytearray(perturbed)
     iterations: list[DiffIteration] = []
     for _ in range(max_iterations):
-        index = _first_diff(baseline, work)
+        index = first_mismatch(baseline, work)
         if index is None:
             return DifferentialTrace(baseline, perturbed, iterations)
         span = _expand_to_block(baseline, index)
@@ -254,6 +248,6 @@ def differential_extract(compiler, request, artifact: str = "runtime",
                 f"{PATTERN_LENGTH - 1} bytes")
         work[span.start:span.end] = baseline[span.start:span.end]
         iterations.append(DiffIteration(index, span))
-    if _first_diff(baseline, work) is None:
+    if first_mismatch(baseline, work) is None:
         return DifferentialTrace(baseline, perturbed, iterations)
     raise NonConvergentError(f"differences remain after {max_iterations} iterations")

@@ -13,7 +13,6 @@ import posixpath
 import re
 import time
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 from ._keccak import keccak256
 from .abi import parse_params
@@ -189,9 +188,11 @@ def sanitize_paths(sources: dict[str, str], *,
                    allow_parent_refs: bool = False) -> dict[str, str]:
     """Normalize all virtual paths of a request.
 
-    With allow_parent_refs the map passes through untouched, which is the
-    naive behavior that lets a crafted ``../..`` path overwrite a foreign
-    record once the store writes it verbatim.
+    Two paths collide when they normalize to the same path, or when one is
+    a directory of the other.  With allow_parent_refs the map passes
+    through untouched, which is the naive behavior that lets a crafted
+    ``../..`` path overwrite a foreign record once the store writes it
+    verbatim.
     """
     if allow_parent_refs:
         return dict(sources)
@@ -202,6 +203,13 @@ def sanitize_paths(sources: dict[str, str], *,
             raise DuplicateAfterNormalizationError(
                 f"{path!r} collides with another source at {clean!r}")
         normalized[clean] = body
+    folders = {clean.rsplit("/", depth)[0] for clean in normalized
+               for depth in range(1, clean.count("/") + 1)}
+    clashes = sorted(folders.intersection(normalized))
+    if clashes:
+        raise DuplicateAfterNormalizationError(
+            f"source path {clashes[0]!r} is also the directory of another "
+            "source; the store cannot hold both")
     return normalized
 
 
@@ -224,6 +232,38 @@ class DisclosureView:
     settings: dict
     warnings: tuple[str, ...]
     freshness: RedeployStatus | None = None
+
+
+def _attempt(step, *args, **kwargs):
+    """step's result, or the VerifierError it raised."""
+    try:
+        return step(*args, **kwargs)
+    except VerifierError as exc:
+        return exc
+
+
+def _fold_legs(policy: MatchPolicy, creation, runtime) -> MatchResult:
+    """Grade the two legs under policy.requirement, or raise.
+
+    Each leg is an ArtifactReport, the VerifierError it hit, or None when
+    it did not run.  BOTH and CREATION_ONLY raise the first error; EITHER
+    raises only when both legs failed.
+    """
+    legs = (creation, runtime)
+    errors = [leg for leg in legs if isinstance(leg, VerifierError)]
+    if policy.requirement is not Requirement.EITHER:
+        if errors:
+            raise errors[0]
+    elif len(errors) == 2:
+        raise NoMatchError(
+            "both comparison legs failed: " +
+            "; ".join(str(c) for c in errors), causes=errors)
+    result = grade(*(None if isinstance(leg, VerifierError) else leg
+                     for leg in legs), policy)
+    if result.grade is Grade.NO_MATCH:
+        raise NoMatchError(result.failure_reason or "bytecode mismatch",
+                           result=result, causes=errors)
+    return result
 
 
 class VerifyService:
@@ -265,7 +305,8 @@ class VerifyService:
                     f"path normalization")
 
         output = self.compiler.compile(sources, settings)
-        result, tx_hash = self._match(output, address_bytes, sources, settings)
+        result, tx_hash, code_hash = self._match(
+            output, address_bytes, sources, settings)
 
         warnings = [INLINE_ASSEMBLY_WARNING] if output.uses_inline_assembly else []
         for report in (result.creation_report, result.runtime_report):
@@ -290,8 +331,7 @@ class VerifyService:
             sources=sources,
             fully_qualified_target=settings.target,
             settings=settings_dict,
-            code_hash_at_verification=keccak256(
-                self.chain.get_runtime_code(address_bytes)),
+            code_hash_at_verification=code_hash,
             creation_tx_hash=tx_hash,
             warnings=list(dict.fromkeys(warnings)),
         )
@@ -299,80 +339,57 @@ class VerifyService:
             record, allow_replacement=cfg.allow_record_replacement)
 
     def _match(self, output, address_bytes: bytes, sources: dict[str, str],
-               settings) -> tuple[MatchResult, bytes | None]:
+               settings) -> tuple[MatchResult, bytes | None, bytes]:
+        """Run both legs against one read of the live code.
+
+        Returns the result, the creation tx hash, and the hash of exactly
+        the runtime bytes that were matched.
+        """
         cfg = self.config
-        requirement = cfg.policy.requirement
+        checks_runtime = cfg.policy.requirement is not Requirement.CREATION_ONLY
 
         creation_spans = runtime_spans = None
         if cfg.metadata_labeler is MetadataLabeler.DIFFERENTIAL:
-            probe = SimpleNamespace(sources=sources, settings=settings)
+            probe = VerificationRequest(sources=sources, settings=settings)
             creation_spans = differential_extract(
                 self.compiler, probe, artifact="creation").spans
-            if requirement is not Requirement.CREATION_ONLY:
+            if checks_runtime:
                 runtime_spans = differential_extract(
                     self.compiler, probe, artifact="runtime").spans
-
-        creation_report = runtime_report = None
-        creation_exc = runtime_exc = None
-        tx_hash = tx_input = None
 
         try:
             tx_hash, tx_input, _deployer = self.chain.get_creation_input(
                 address_bytes)
         except NotFoundError as exc:
-            creation_exc = exc
-        if tx_input is not None:
+            tx_hash, tx_input, creation = None, b"", exc
+        else:
             ctor_params = (parse_params(output.ctor_params)
                            if output.ctor_params is not None else None)
-            try:
-                creation_report = match_creation(
-                    output.creation_code, tx_input, ctor_params, cfg.policy,
-                    local_spans=creation_spans)
-            except VerifierError as exc:
-                creation_exc = exc
+            creation = _attempt(match_creation, output.creation_code, tx_input,
+                                ctor_params, cfg.policy,
+                                local_spans=creation_spans)
 
-        if requirement is not Requirement.CREATION_ONLY:
-            try:
-                onchain = self.chain.get_runtime_code(address_bytes)
-                if not onchain:
-                    raise NotFoundError(
-                        "no runtime code on chain at the requested address")
-                args = b""
-                if tx_input is not None and \
-                        len(tx_input) >= len(output.creation_code):
-                    args = tx_input[len(output.creation_code):]
-                runtime_report = match_runtime(
-                    output, onchain, cfg.immutable_strategy,
-                    ctor_args=args,
-                    trust_simulated_return=cfg.trust_simulated_return,
-                    placeholder_mode=cfg.placeholder_mode,
-                    labeler=cfg.metadata_labeler,
-                    differential_spans=runtime_spans)
-            except VerifierError as exc:
-                runtime_exc = exc
+        onchain = _attempt(self.chain.get_runtime_code, address_bytes)
+        if not checks_runtime:
+            runtime = None
+        elif isinstance(onchain, VerifierError):
+            runtime = onchain
+        elif not onchain:
+            runtime = NotFoundError(
+                "no runtime code on chain at the requested address")
+        else:
+            runtime = _attempt(
+                match_runtime, output, onchain, cfg.immutable_strategy,
+                ctor_args=tx_input[len(output.creation_code):],
+                trust_simulated_return=cfg.trust_simulated_return,
+                placeholder_mode=cfg.placeholder_mode,
+                labeler=cfg.metadata_labeler,
+                differential_spans=runtime_spans)
 
-        if requirement is Requirement.BOTH:
-            for exc in (creation_exc, runtime_exc):
-                if exc is not None:
-                    raise exc
-        elif requirement is Requirement.CREATION_ONLY:
-            if creation_exc is not None:
-                raise creation_exc
-        elif creation_report is None and runtime_report is None:
-            causes = [e for e in (creation_exc, runtime_exc) if e is not None]
-            if len(causes) == 1:
-                raise causes[0]
-            raise NoMatchError(
-                "both comparison legs failed: " +
-                "; ".join(str(c) for c in causes), causes=causes)
-
-        result = grade(creation_report, runtime_report, cfg.policy)
-        if result.grade is Grade.NO_MATCH:
-            raise NoMatchError(result.failure_reason or "bytecode mismatch",
-                               result=result,
-                               causes=[e for e in (creation_exc, runtime_exc)
-                                       if e is not None])
-        return result, tx_hash
+        result = _fold_legs(cfg.policy, creation, runtime)
+        if isinstance(onchain, VerifierError):
+            raise onchain
+        return result, tx_hash, keccak256(onchain)
 
     # --- query ---
 
@@ -429,17 +446,10 @@ class VerifyService:
                     "to propagate a hand-crafted bytecode match")
             donors = clean
         donor = donors[0]
-        record = VerificationRecord(
-            address=address,
-            grade=donor.grade,
-            sources=dict(donor.sources),
-            fully_qualified_target=donor.fully_qualified_target,
-            settings=dict(donor.settings),
-            code_hash_at_verification=donor.code_hash_at_verification,
-            creation_tx_hash=None,
+        record = replace(
+            donor, address=address, creation_tx_hash=None,
             warnings=donor.warnings + [f"inherited-from:{donor.address}"],
-            timestamp=time.time(),
-        )
+            timestamp=time.time())
         return self.store.store_record(
             record, allow_replacement=cfg.allow_record_replacement)
 
@@ -454,17 +464,8 @@ class VerifyService:
                 f"profile {self.config.name} does not accept imported records")
         accepted = []
         for donor in other.records():
-            record = VerificationRecord(
-                address=donor.address,
-                grade=donor.grade,
-                sources=dict(donor.sources),
-                fully_qualified_target=donor.fully_qualified_target,
-                settings=dict(donor.settings),
-                code_hash_at_verification=donor.code_hash_at_verification,
-                creation_tx_hash=donor.creation_tx_hash,
-                warnings=donor.warnings + [IMPORTED_WARNING],
-                timestamp=time.time(),
-            )
+            record = replace(donor, warnings=donor.warnings + [IMPORTED_WARNING],
+                             timestamp=time.time())
             try:
                 accepted.append(self.store.store_record(
                     record,

@@ -26,6 +26,7 @@ from .errors import (
     CreationDidNotReturnError,
     EmptyLocalBytecodeError,
     ForeignReturnDataError,
+    LengthMismatchError,
     MemoryLimitExceededError,
     SpanOutOfRangeError,
     StackOverflowError_,
@@ -422,7 +423,6 @@ def backfill_immutables_from_chain(
     """
     _check_refs(template, refs)
     if len(onchain) != len(template):
-        from .errors import LengthMismatchError
         raise LengthMismatchError(
             f"on-chain code is {len(onchain)} bytes, template is {len(template)}")
     out = bytearray(template)

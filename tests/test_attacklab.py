@@ -204,6 +204,16 @@ class TestScanConfig:
         assert [(f, r) for f, r, _ in findings] == [
             ("partial-matching", "R1"), ("allow_parent_path_refs", "R7")]
 
+    def test_each_flip_is_linted_as_its_risk(self):
+        for field_name, risk in TOGGLE_RISKS.items():
+            findings = [(flag, rid) for flag, rid, _ in
+                        scan_config(flip_field(HARDENED, field_name))
+                        if flag != "partial-matching"]
+            assert {rid for _, rid in findings} == (
+                set() if risk is None else {risk}), field_name
+            assert all(flag.partition(".")[0] == field_name
+                       for flag, _ in findings), field_name
+
     def test_flag_names_are_real_fields(self):
         from dataclasses import fields
         from srcverify.service import VerifierConfig

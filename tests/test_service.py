@@ -1,6 +1,7 @@
 """Service pipeline: sanitization, profiles, submit/query/inherit/import."""
 
 import dataclasses
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -60,7 +61,8 @@ def word(v: int) -> bytes:
 
 def build(config, tmp_path, *, sources=None, target=TARGET, output=None,
           runtime=RUNTIME, ctor_params=None, deployed_runtime=None,
-          deployed_creation=None, deploy_args=b"", subdir="records"):
+          deployed_creation=None, deploy_args=b"", subdir="records",
+          chain=None):
     """One verifier world: compiler fixture, mock chain with the contract
     deployed, fresh store, and a matching request."""
     sources = dict(SOURCES if sources is None else sources)
@@ -71,7 +73,7 @@ def build(config, tmp_path, *, sources=None, target=TARGET, output=None,
                                    ctor_params=ctor_params)
     compiler = FixtureCompiler()
     compiler.register(sources, settings, output)
-    chain = MockChain()
+    chain = MockChain() if chain is None else chain
     if deployed_runtime is None:
         deployed_runtime = output.runtime_template
     if deployed_creation is None:
@@ -84,6 +86,22 @@ def build(config, tmp_path, *, sources=None, target=TARGET, output=None,
     return SimpleNamespace(service=service, compiler=compiler, chain=chain,
                            store=store, request=request, address=address,
                            output=output, settings=settings, sources=sources)
+
+
+class CodeSwapChain(MockChain):
+    """Serves other code from its second runtime read onward, as if the
+    contract were redeployed while a verification was running."""
+
+    def __init__(self, swapped: bytes):
+        super().__init__()
+        self.swapped = swapped
+        self.runtime_reads = 0
+
+    def get_runtime_code(self, address: bytes) -> bytes:
+        self.runtime_reads += 1
+        if self.runtime_reads > 1:
+            return self.swapped
+        return super().get_runtime_code(address)
 
 
 class TestSanitizePaths:
@@ -126,6 +144,28 @@ class TestSanitizePaths:
     def test_naive_passthrough(self):
         evil = {"../../victim/sources/a.sol": "x", "/abs.sol": "y"}
         assert sanitize_paths(evil, allow_parent_refs=True) == evil
+
+    @pytest.mark.parametrize("paths", [("c/a.sol", "c/a.sol/x.sol"),
+                                       ("c/a.sol/x.sol", "./c/a.sol"),
+                                       ("c", "c/a.sol/x.sol")])
+    def test_file_that_is_another_sources_directory(self, paths):
+        with pytest.raises(DuplicateAfterNormalizationError):
+            sanitize_paths(dict.fromkeys(paths, "x"))
+
+    def test_sibling_prefixes_are_not_directories(self):
+        paths = {"c/a.sol": "x", "c/a.sol2/x.sol": "y", "c/a.so": "z"}
+        assert sanitize_paths(paths) == paths
+
+
+class TestRequestJson:
+    @pytest.mark.parametrize("sources", [["contracts/a.sol"],
+                                         {"contracts/a.sol": 5},
+                                         {"contracts/a.sol": ["x"]}])
+    def test_sources_must_map_paths_to_text(self, sources):
+        text = json.dumps({"sources": sources,
+                           "settings": {"target": TARGET}})
+        with pytest.raises(MalformedRequestError):
+            VerificationRequest.from_json(text)
 
 
 class TestProfiles:
@@ -205,6 +245,22 @@ class TestSubmitVerification:
         record = w.service.submit_verification(w.request)
         assert record.fully_qualified_target == "a.sol:A"
         assert set(w.store.load(w.address).sources) == {"a.sol"}
+
+    def test_hardened_rejects_file_directory_pair_before_storing(self, tmp_path):
+        sources = {"c/a.sol": "contract A {}", "c/a.sol/x.sol": "contract X {}"}
+        w = build(HARDENED, tmp_path, sources=sources, target="c/a.sol:A")
+        with pytest.raises(DuplicateAfterNormalizationError):
+            w.service.submit_verification(w.request)
+        assert list(w.store.root.iterdir()) == []
+
+    @pytest.mark.parametrize("config", [HARDENED, NAIVE_BLOCKSCOUT_LIKE],
+                             ids=lambda config: config.name)
+    def test_record_hashes_the_code_that_was_matched(self, config, tmp_path):
+        chain = CodeSwapChain(swapped=BODY + BLOCK_B)
+        w = build(config, tmp_path, chain=chain)
+        record = w.service.submit_verification(w.request)
+        assert record.code_hash_at_verification == keccak256(RUNTIME)
+        assert chain.runtime_reads == 1
 
     def test_request_without_address_rejected(self, tmp_path):
         w = build(HARDENED, tmp_path)
