@@ -1,9 +1,9 @@
 """Keccak-256 (legacy pad 0x01, as used for EVM code hashes and CREATE2).
 
 hashlib's sha3_256 applies the NIST domain padding (0x06) and produces
-different digests, so the sponge is implemented here directly.  State is a
-flat list of 25 little-endian 64-bit lanes; rate for the 256-bit variant is
-136 bytes.
+different digests, so the sponge is implemented here directly.  State is 25
+little-endian 64-bit lanes, flat index x + 5*y; rate for the 256-bit variant
+is 136 bytes.
 """
 
 from __future__ import annotations
@@ -21,54 +21,106 @@ _ROUND_CONSTANTS = (
     0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
 )
 
-# Rho rotation offsets, flat index = x + 5*y.
-_ROTATIONS = (
-    0, 1, 62, 28, 27,
-    36, 44, 6, 55, 20,
-    3, 10, 43, 25, 39,
-    41, 45, 15, 21, 8,
-    18, 2, 61, 56, 14,
-)
-
-# Pi lane permutation: lane (x, y) moves to (y, 2x+3y); indices precomputed
-# so the round loop is a flat gather.
-def _pi_sources() -> tuple[int, ...]:
-    src = [0] * 25
-    for x in range(5):
-        for y in range(5):
-            src[y + 5 * ((2 * x + 3 * y) % 5)] = x + 5 * y
-    return tuple(src)
-
-
-_PI = _pi_sources()
-
-
-def _rol(value: int, shift: int) -> int:
-    if shift == 0:
-        return value
-    return ((value << shift) | (value >> (64 - shift))) & _MASK
-
 
 def _permute(lanes: list[int]) -> None:
+    """Keccak-f[1600] in place, with the lanes held in locals.
+
+    Each round computes the theta column parities c and offsets d, then
+    fuses theta, rho and pi: lane (x, y) xor d[x], rotated left by its rho
+    offset, lands at (y, 2x + 3y) in b.  Chi maps b back into a, and iota
+    is the xor of rc into lane 0.  The rotation offsets and pi positions
+    are the literals of FIPS 202; tests check the digests against an
+    independent implementation.
+    """
+    (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
+     a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24) = lanes
     for rc in _ROUND_CONSTANTS:
-        # theta
-        c = [lanes[x] ^ lanes[x + 5] ^ lanes[x + 10] ^ lanes[x + 15] ^ lanes[x + 20]
-             for x in range(5)]
-        d = [c[(x - 1) % 5] ^ _rol(c[(x + 1) % 5], 1) for x in range(5)]
-        for x in range(5):
-            dx = d[x]
-            for y in range(0, 25, 5):
-                lanes[x + y] ^= dx
-        # rho + pi
-        rotated = [_rol(lanes[i], _ROTATIONS[i]) for i in range(25)]
-        b = [rotated[_PI[i]] for i in range(25)]
-        # chi
-        for y in range(0, 25, 5):
-            row = b[y:y + 5]
-            for x in range(5):
-                lanes[y + x] = row[x] ^ ((~row[(x + 1) % 5]) & row[(x + 2) % 5] & _MASK)
-        # iota
-        lanes[0] ^= rc
+        c0 = a0 ^ a5 ^ a10 ^ a15 ^ a20
+        c1 = a1 ^ a6 ^ a11 ^ a16 ^ a21
+        c2 = a2 ^ a7 ^ a12 ^ a17 ^ a22
+        c3 = a3 ^ a8 ^ a13 ^ a18 ^ a23
+        c4 = a4 ^ a9 ^ a14 ^ a19 ^ a24
+        d0 = c4 ^ ((c1 << 1 | c1 >> 63) & _MASK)
+        d1 = c0 ^ ((c2 << 1 | c2 >> 63) & _MASK)
+        d2 = c1 ^ ((c3 << 1 | c3 >> 63) & _MASK)
+        d3 = c2 ^ ((c4 << 1 | c4 >> 63) & _MASK)
+        d4 = c3 ^ ((c0 << 1 | c0 >> 63) & _MASK)
+        b0 = a0 ^ d0
+        t = a6 ^ d1
+        b1 = (t << 44 | t >> 20) & _MASK
+        t = a12 ^ d2
+        b2 = (t << 43 | t >> 21) & _MASK
+        t = a18 ^ d3
+        b3 = (t << 21 | t >> 43) & _MASK
+        t = a24 ^ d4
+        b4 = (t << 14 | t >> 50) & _MASK
+        t = a3 ^ d3
+        b5 = (t << 28 | t >> 36) & _MASK
+        t = a9 ^ d4
+        b6 = (t << 20 | t >> 44) & _MASK
+        t = a10 ^ d0
+        b7 = (t << 3 | t >> 61) & _MASK
+        t = a16 ^ d1
+        b8 = (t << 45 | t >> 19) & _MASK
+        t = a22 ^ d2
+        b9 = (t << 61 | t >> 3) & _MASK
+        t = a1 ^ d1
+        b10 = (t << 1 | t >> 63) & _MASK
+        t = a7 ^ d2
+        b11 = (t << 6 | t >> 58) & _MASK
+        t = a13 ^ d3
+        b12 = (t << 25 | t >> 39) & _MASK
+        t = a19 ^ d4
+        b13 = (t << 8 | t >> 56) & _MASK
+        t = a20 ^ d0
+        b14 = (t << 18 | t >> 46) & _MASK
+        t = a4 ^ d4
+        b15 = (t << 27 | t >> 37) & _MASK
+        t = a5 ^ d0
+        b16 = (t << 36 | t >> 28) & _MASK
+        t = a11 ^ d1
+        b17 = (t << 10 | t >> 54) & _MASK
+        t = a17 ^ d2
+        b18 = (t << 15 | t >> 49) & _MASK
+        t = a23 ^ d3
+        b19 = (t << 56 | t >> 8) & _MASK
+        t = a2 ^ d2
+        b20 = (t << 62 | t >> 2) & _MASK
+        t = a8 ^ d3
+        b21 = (t << 55 | t >> 9) & _MASK
+        t = a14 ^ d4
+        b22 = (t << 39 | t >> 25) & _MASK
+        t = a15 ^ d0
+        b23 = (t << 41 | t >> 23) & _MASK
+        t = a21 ^ d1
+        b24 = (t << 2 | t >> 62) & _MASK
+        a0 = b0 ^ (~b1 & b2) ^ rc
+        a1 = b1 ^ (~b2 & b3)
+        a2 = b2 ^ (~b3 & b4)
+        a3 = b3 ^ (~b4 & b0)
+        a4 = b4 ^ (~b0 & b1)
+        a5 = b5 ^ (~b6 & b7)
+        a6 = b6 ^ (~b7 & b8)
+        a7 = b7 ^ (~b8 & b9)
+        a8 = b8 ^ (~b9 & b5)
+        a9 = b9 ^ (~b5 & b6)
+        a10 = b10 ^ (~b11 & b12)
+        a11 = b11 ^ (~b12 & b13)
+        a12 = b12 ^ (~b13 & b14)
+        a13 = b13 ^ (~b14 & b10)
+        a14 = b14 ^ (~b10 & b11)
+        a15 = b15 ^ (~b16 & b17)
+        a16 = b16 ^ (~b17 & b18)
+        a17 = b17 ^ (~b18 & b19)
+        a18 = b18 ^ (~b19 & b15)
+        a19 = b19 ^ (~b15 & b16)
+        a20 = b20 ^ (~b21 & b22)
+        a21 = b21 ^ (~b22 & b23)
+        a22 = b22 ^ (~b23 & b24)
+        a23 = b23 ^ (~b24 & b20)
+        a24 = b24 ^ (~b20 & b21)
+    lanes[:] = (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
+                a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24)
 
 
 _RATE = 136  # bytes, for capacity 512
@@ -76,18 +128,15 @@ _RATE = 136  # bytes, for capacity 512
 
 def keccak256(data: bytes) -> bytes:
     """Digest `data` with Keccak-256 (the pre-NIST padding used by the EVM)."""
-    lanes = [0] * 25
     padded = bytearray(data)
-    pad_len = _RATE - (len(padded) % _RATE)
-    padded += b"\x00" * pad_len
+    padded += bytes(_RATE - len(padded) % _RATE)
     padded[len(data)] ^= 0x01
     padded[-1] ^= 0x80
-    for block_start in range(0, len(padded), _RATE):
-        block = padded[block_start:block_start + _RATE]
+    view = memoryview(padded)
+    lanes = [0] * 25
+    for block in range(0, len(padded), _RATE):
         for i in range(_RATE // 8):
-            lanes[i] ^= int.from_bytes(block[8 * i:8 * i + 8], "little")
+            start = block + 8 * i
+            lanes[i] ^= int.from_bytes(view[start:start + 8], "little")
         _permute(lanes)
-    out = bytearray()
-    for i in range(4):  # 32 bytes = 4 lanes
-        out += lanes[i].to_bytes(8, "little")
-    return bytes(out)
+    return b"".join(lane.to_bytes(8, "little") for lane in lanes[:4])

@@ -299,7 +299,7 @@ def _run_r4(config, root, export):
             "R4", config.name, False, _guard_names(exc),
             f"read-time recheck stamped the record {lenient.freshness.value} "
             "and refused to serve it as current")
-    live_hash = keccak256(chain.get_runtime_code(address))
+    live_hash = chain.get_code_hash(address)
     assert live_hash != record.code_hash_at_verification
     return ExploitOutcome(
         "R4", config.name, True, (),

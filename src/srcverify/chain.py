@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 
 from ._keccak import keccak256
-from .bytecode import code_hash, parse_hex, render_hex
+from .bytecode import parse_hex, render_hex
 from .errors import AddressOccupiedError, BackendUnavailableError, NotFoundError
 
 
@@ -61,6 +61,16 @@ class ChainClient(ABC):
     def get_creation_input(self, address: bytes) -> tuple[bytes, bytes, bytes]:
         """(tx_hash, input, deployer) of the most recent creation."""
 
+    def get_code_hash(self, address: bytes) -> bytes:
+        """Keccak-256 of the current code; empty when there is no live code.
+
+        The EXTCODEHASH (EIP-1052) and eth_getProof codeHash (EIP-1186)
+        view.  This default hashes get_runtime_code; a node-backed client
+        should answer from account state instead.
+        """
+        code = self.get_runtime_code(address)
+        return keccak256(code) if code else b""
+
 
 class MockChain(ChainClient):
     """Deterministic in-memory chain.
@@ -72,6 +82,8 @@ class MockChain(ChainClient):
 
     def __init__(self) -> None:
         self._contracts: dict[bytes, ChainContract] = {}
+        # address -> (code, keccak256(code)), filled on the first hash read
+        self._code_hashes: dict[bytes, tuple[bytes, bytes]] = {}
         self._lock = threading.Lock()
         self._sequence = 0
         self.reorg_in_progress = False
@@ -86,6 +98,17 @@ class MockChain(ChainClient):
         if contract is None or contract.destroyed:
             return b""
         return contract.runtime_code
+
+    def get_code_hash(self, address: bytes) -> bytes:
+        """The default, memoised per address while the code is the same
+        object: a revival or a reloaded fixture brings a new object."""
+        code = self.get_runtime_code(address)
+        if not code:
+            return b""
+        memo = self._code_hashes.get(address)
+        if memo is None or memo[0] is not code:
+            memo = self._code_hashes[address] = (code, keccak256(code))
+        return memo[1]
 
     def get_creation_input(self, address: bytes) -> tuple[bytes, bytes, bytes]:
         self._available()
@@ -184,13 +207,13 @@ class MockChain(ChainClient):
 def detect_redeployment(client: ChainClient, address: bytes,
                         recorded_hash: bytes) -> RedeployStatus:
     """Compare the address's current code hash with the recorded one."""
-    current = client.get_runtime_code(address)
+    current = client.get_code_hash(address)
     if not current:
         try:
             client.get_creation_input(address)
         except NotFoundError:
             return RedeployStatus.NEVER_SEEN
         return RedeployStatus.DESTROYED
-    if code_hash(current) == recorded_hash:
+    if current == recorded_hash:
         return RedeployStatus.UNCHANGED
     return RedeployStatus.CHANGED

@@ -114,12 +114,30 @@ class VerificationRequest:
                 isinstance(body, str) for body in sources.values()):
             raise MalformedRequestError(
                 "sources must map each path to its source text")
+        settings = payload.get("settings", {})
+        if not isinstance(settings, dict) or not all(
+                isinstance(settings.get(key, ""), str)
+                for key in ("compilerVersion", "evmVersion", "target")):
+            raise MalformedRequestError(
+                "settings must be an object with text version and target fields")
+        try:
+            compile_settings = CompileSettings.from_dict(settings)
+        except (TypeError, ValueError) as exc:
+            raise MalformedRequestError(
+                f"optimizerRuns must be an integer: {exc}") from exc
         address = payload.get("address")
+        if address is not None and not isinstance(address, str):
+            raise MalformedRequestError("address must be a hex string")
+        libraries = payload.get("libraries", {})
+        if not isinstance(libraries, dict) or not all(
+                isinstance(lib, str) for lib in libraries.values()):
+            raise MalformedRequestError(
+                "libraries must map each library name to an address")
         return cls(
             sources=sources,
-            settings=CompileSettings.from_dict(payload.get("settings", {})),
+            settings=compile_settings,
             address=parse_hex(address) if address else None,
-            declared_libraries=payload.get("libraries", {}),
+            declared_libraries=libraries,
         )
 
 

@@ -108,17 +108,21 @@ def matches_pattern_at(code: bytes, start: int) -> bool:
 
 
 def scan_metadata(code: bytes) -> list[MetadataSpan]:
-    """All strict pattern matches, non-overlapping, in offset order."""
+    """All strict pattern matches, non-overlapping, in offset order.
+
+    Greedy from the left.  A block can only start where its 8-byte head
+    occurs, so the scan jumps from one find hit to the next.
+    """
     spans = []
-    i = 0
-    while i + PATTERN_LENGTH <= len(code):
+    i = code.find(_IPFS_HEAD)
+    while i != -1:
         if matches_pattern_at(code, i):
             end = i + PATTERN_LENGTH
             kind = MetadataKind.TRAILING if end == len(code) else MetadataKind.EMBEDDED
             spans.append(MetadataSpan(i, end, kind, SpanSource.PATTERN_SCAN))
-            i = end
+            i = code.find(_IPFS_HEAD, end)
         else:
-            i += 1
+            i = code.find(_IPFS_HEAD, i + 1)
     return spans
 
 

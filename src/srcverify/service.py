@@ -430,10 +430,10 @@ class VerifyService:
         if not cfg.inherit_identical_runtime:
             raise NoDonorError(f"profile {cfg.name} disables inheritance")
         address = normalize_address(new_address)
-        code = self.chain.get_runtime_code(bytes.fromhex(address[2:]))
-        if not code:
+        live_hash = self.chain.get_code_hash(bytes.fromhex(address[2:]))
+        if not live_hash:
             raise NoDonorError(f"no runtime code at {address}")
-        donors = [d for d in self.store.find_by_code_hash(keccak256(code))
+        donors = [d for d in self.store.find_by_code_hash(live_hash)
                   if d.address != address]
         if not donors:
             raise NoDonorError(f"no verified record shares the runtime of {address}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 import string
 import threading
@@ -24,7 +25,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .errors import NotVerifiedError, ReplacementDeniedError
+from .errors import (
+    DuplicateAfterNormalizationError,
+    NotVerifiedError,
+    ReplacementDeniedError,
+)
 from .matching import Grade
 
 RECORD_FILENAME = "record"
@@ -123,6 +128,7 @@ class RecordStore:
         submission wins) and Partial never replaces Exact.  With
         ``allow_replacement`` off, any second submission is refused.
         """
+        self._check_layout(record)
         with self._lock_for(record.address):
             found = self._find(record.address)
             if found is not None:
@@ -138,6 +144,25 @@ class RecordStore:
                 shutil.rmtree(old_dir)
             self._write(record)
         return record
+
+    def _check_layout(self, record: VerificationRecord) -> None:
+        """Refuse a record that needs one path as both a file and a directory.
+
+        Every ancestor of a file _write creates, ``..`` steps included, must
+        be a directory, so ``c/a.sol`` beside ``c/a.sol/x.sol`` (or
+        ``c/a.sol/../x.sol``) is caught here, before anything is written.
+        """
+        base = self._record_dir(record.grade, record.address)
+        sources = base / "sources"
+        files = [base / RECORD_FILENAME] + [sources / Path(p) for p in record.sources]
+        dirs = [sources] + [d for f in files for d in f.parents]
+        clash = ({os.path.normpath(f) for f in files}
+                 & {os.path.normpath(d) for d in dirs})
+        if clash:
+            raise DuplicateAfterNormalizationError(
+                f"record for {record.address} needs "
+                f"{os.path.relpath(min(clash), self.root)} to be both a file "
+                f"and a directory")
 
     def _write(self, record: VerificationRecord) -> None:
         base = self._record_dir(record.grade, record.address)

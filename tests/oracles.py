@@ -11,6 +11,8 @@ through a different route than the code under test.
   round-trips through this encoder share no code with the decoder.
 - r1_candidate_oracle: a second, hex-string-level implementation of the
   legacy-metadata candidate filter.
+- metadata_scan_oracle: the strict ipfs+solc block scan, testing every
+  offset in turn.
 """
 
 from __future__ import annotations
@@ -231,3 +233,29 @@ def r1_candidate_oracle(code: bytes) -> bool:
         else:
             i += 1
     return True
+
+
+# --- per-offset scan for ipfs+solc metadata blocks ---
+
+_BLOCK_LEN = 53
+_IPFS_PREFIX = bytes([0xA2, 0x64]) + b"ipfs" + bytes([0x58, 0x22])
+_SOLC_PREFIX = bytes([0x64]) + b"solc" + bytes([0x43])
+
+
+def metadata_scan_oracle(code: bytes) -> list[tuple[int, int]]:
+    """(start, end) of every strict block, greedy from the left.
+
+    Tests each offset in turn: the ipfs head at 0, the solc head at 42, and
+    a big-endian length suffix of 51 in the last two bytes.
+    """
+    found = []
+    i = 0
+    while i + _BLOCK_LEN <= len(code):
+        block = code[i:i + _BLOCK_LEN]
+        if (block[:8] == _IPFS_PREFIX and block[42:48] == _SOLC_PREFIX
+                and block[-2] * 256 + block[-1] == _BLOCK_LEN - 2):
+            found.append((i, i + _BLOCK_LEN))
+            i += _BLOCK_LEN
+        else:
+            i += 1
+    return found

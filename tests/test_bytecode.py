@@ -116,6 +116,8 @@ class TestCodeHash:
         assert keccak256(data) == keccak256_oracle(data)
 
     def test_rate_boundary_inputs(self):
-        for n in (135, 136, 137, 271, 272, 273):
-            data = b"\xa5" * n
-            assert keccak256(data) == keccak256_oracle(data)
+        # every length up to five sponge blocks, so each padding position
+        # and the 135/136/137 and 271/272/273 boundaries are all covered
+        pattern = bytes((7 * i + 0xA5) & 0xFF for i in range(700))
+        for n in range(701):
+            assert keccak256(pattern[:n]) == keccak256_oracle(pattern[:n]), n

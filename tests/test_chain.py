@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import create2_oracle
+from oracles import create2_oracle, keccak256_oracle
 from srcverify.bytecode import code_hash, parse_hex
 from srcverify.chain import (
+    ChainClient,
     MockChain,
     RedeployStatus,
     create2_address,
@@ -195,3 +196,72 @@ class TestDetectRedeployment:
         chain.mock_selfdestruct(addr)
         chain.mock_deploy(RUNTIME_B, creation_input=RUNTIME_B, address=addr)
         assert detect_redeployment(chain, addr, recorded) is RedeployStatus.CHANGED
+
+
+class TestCodeHash:
+    """get_code_hash, and the mock's memo of it, never serve a stale hash."""
+
+    def test_hash_of_live_code_and_empty_without_code(self):
+        chain = MockChain()
+        addr = chain.mock_deploy(RUNTIME_A, creation_input=RUNTIME_A)
+        assert chain.get_code_hash(addr) == keccak256_oracle(RUNTIME_A)
+        assert chain.get_code_hash(addr) == keccak256_oracle(RUNTIME_A)
+        assert chain.get_code_hash(bytes(20)) == b""
+        chain.mock_selfdestruct(addr)
+        assert chain.get_code_hash(addr) == b""
+
+    def test_create2_revive_after_memoised_query_is_changed(self):
+        chain = MockChain()
+        addr = chain.mock_create2_deploy(DEPLOYER, SALT, INIT, RUNTIME_A)
+        recorded = code_hash(RUNTIME_A)
+        assert detect_redeployment(chain, addr, recorded) is RedeployStatus.UNCHANGED
+        chain.mock_selfdestruct(addr)
+        chain.mock_create2_deploy(DEPLOYER, SALT, INIT, RUNTIME_B)
+        assert chain.get_code_hash(addr) == keccak256_oracle(RUNTIME_B)
+        assert detect_redeployment(chain, addr, recorded) is RedeployStatus.CHANGED
+
+    def test_destroy_after_memoised_query_is_destroyed(self):
+        chain = MockChain()
+        addr = chain.mock_deploy(RUNTIME_A, creation_input=RUNTIME_A)
+        recorded = code_hash(RUNTIME_A)
+        assert detect_redeployment(chain, addr, recorded) is RedeployStatus.UNCHANGED
+        chain.mock_selfdestruct(addr)
+        assert detect_redeployment(chain, addr, recorded) is RedeployStatus.DESTROYED
+
+    def test_unknown_address_is_never_seen(self):
+        chain = MockChain()
+        chain.mock_deploy(RUNTIME_A, creation_input=RUNTIME_A)
+        status = detect_redeployment(chain, b"\x42" * 20, code_hash(RUNTIME_A))
+        assert status is RedeployStatus.NEVER_SEEN
+
+    def test_loaded_fixture_hashes_its_code(self, tmp_path):
+        chain = MockChain()
+        a = chain.mock_deploy(RUNTIME_A, creation_input=b"\x01")
+        b = chain.mock_deploy(RUNTIME_B, creation_input=b"\x02")
+        chain.get_code_hash(a)
+        chain.mock_selfdestruct(b)
+        path = tmp_path / "chain.json"
+        chain.save_fixture(path)
+        loaded = MockChain.load_fixture(path)
+        assert loaded.get_code_hash(a) == keccak256_oracle(RUNTIME_A)
+        assert loaded.get_code_hash(b) == b""
+        assert detect_redeployment(loaded, b, code_hash(RUNTIME_B)) is \
+            RedeployStatus.DESTROYED
+
+    def test_default_hashes_runtime_code(self):
+        class MinimalClient(ChainClient):
+            def __init__(self, codes):
+                self.codes = codes
+
+            def get_runtime_code(self, address):
+                return self.codes.get(address, b"")
+
+            def get_creation_input(self, address):
+                raise NotFoundError("no creations in this client")
+
+        client = MinimalClient({b"\x01" * 20: RUNTIME_A})
+        assert client.get_code_hash(b"\x01" * 20) == \
+            keccak256_oracle(client.get_runtime_code(b"\x01" * 20))
+        assert client.get_code_hash(b"\x02" * 20) == b""
+        assert detect_redeployment(client, b"\x01" * 20, code_hash(RUNTIME_A)) \
+            is RedeployStatus.UNCHANGED

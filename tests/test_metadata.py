@@ -28,12 +28,28 @@ from srcverify.metadata import (
     differential_extract,
     make_legacy_metadata_block,
     make_metadata_block,
+    matches_pattern_at,
     scan_metadata,
     strip_spans,
 )
+from oracles import metadata_scan_oracle
 
 BODY = bytes.fromhex("6080604052600a600055")
 BLOCK = make_metadata_block(keccak256(b"fixture-source"))
+HEAD = BLOCK[:8]
+
+_DIGESTS = st.binary(min_size=32, max_size=32)
+# code built from the shapes the scanner must tell apart: plain bytes, full
+# blocks, truncated blocks, bare heads and blocks with a wrong length suffix
+SCAN_PIECES = st.one_of(
+    st.binary(max_size=60),
+    _DIGESTS.map(make_metadata_block),
+    st.tuples(_DIGESTS, st.integers(1, PATTERN_LENGTH - 1)).map(
+        lambda t: make_metadata_block(t[0])[:t[1]]),
+    st.just(HEAD),
+    st.tuples(_DIGESTS, st.binary(min_size=2, max_size=2)).map(
+        lambda t: make_metadata_block(t[0])[:-2] + t[1]),
+)
 
 
 def span(start, end, kind=MetadataKind.TRAILING, source=SpanSource.PATTERN_SCAN):
@@ -99,6 +115,34 @@ class TestScan:
 
     def test_truncated_block_at_end_not_matched(self):
         assert scan_metadata(BODY + BLOCK[:-1]) == []
+
+    def test_back_to_back_blocks(self):
+        other = make_metadata_block(keccak256(b"second"))
+        spans = scan_metadata(BODY + BLOCK + other)
+        assert [(s.start, s.end, s.kind) for s in spans] == [
+            (10, 63, MetadataKind.EMBEDDED), (63, 116, MetadataKind.TRAILING)]
+
+    def test_overlapping_blocks_keep_the_first(self):
+        # a head inside the first block's hash starts a second valid block
+        # 11 bytes later; greedy scanning keeps only the first
+        first = make_metadata_block(b"\x00" + HEAD + bytes(23))
+        code = first + first[42:48] + b"\x00\x08\x04" + b"\x00\x33"
+        assert matches_pattern_at(code, 11)
+        assert [(s.start, s.end) for s in scan_metadata(code)] == [(0, 53)]
+
+    def test_head_near_the_end_not_matched(self):
+        spans = scan_metadata(BODY + BLOCK + HEAD + BLOCK[8:-3])
+        assert [(s.start, s.end, s.kind) for s in spans] == [
+            (10, 63, MetadataKind.EMBEDDED)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SCAN_PIECES, max_size=8))
+    def test_scan_equals_per_offset_reference(self, pieces):
+        code = b"".join(pieces)
+        spans = scan_metadata(code)
+        assert [(s.start, s.end) for s in spans] == metadata_scan_oracle(code)
+        for s in spans:
+            assert (s.kind is MetadataKind.TRAILING) == (s.end == len(code))
 
     @settings(max_examples=80, deadline=None)
     @given(st.binary(max_size=80), st.binary(min_size=32, max_size=32))

@@ -167,6 +167,20 @@ class TestRequestJson:
         with pytest.raises(MalformedRequestError):
             VerificationRequest.from_json(text)
 
+    @pytest.mark.parametrize("field,value", [
+        ("settings", []),
+        ("settings", {"optimizerRuns": "x"}),
+        ("settings", {"target": 5}),
+        ("address", 5),
+        ("libraries", 3),
+        ("libraries", {"Lib": 5}),
+    ])
+    def test_wrongly_typed_fields_rejected(self, field, value):
+        payload = {"sources": SOURCES, "settings": {"target": TARGET}}
+        payload[field] = value
+        with pytest.raises(MalformedRequestError):
+            VerificationRequest.from_json(json.dumps(payload))
+
 
 class TestProfiles:
     def test_four_profiles_exist(self):
@@ -252,6 +266,16 @@ class TestSubmitVerification:
         with pytest.raises(DuplicateAfterNormalizationError):
             w.service.submit_verification(w.request)
         assert list(w.store.root.iterdir()) == []
+
+    @pytest.mark.parametrize("config", [NAIVE_SOURCIFY_LIKE, NAIVE_BLOCKSCOUT_LIKE],
+                             ids=lambda config: config.name)
+    def test_store_refuses_file_directory_pair_on_naive_profiles(
+            self, config, tmp_path):
+        sources = {"c/a.sol": "contract A {}", "c/a.sol/x.sol": "contract X {}"}
+        w = build(config, tmp_path, sources=sources, target="c/a.sol:A")
+        with pytest.raises(DuplicateAfterNormalizationError):
+            w.service.submit_verification(w.request)
+        assert list(w.store.root.rglob("*")) == []
 
     @pytest.mark.parametrize("config", [HARDENED, NAIVE_BLOCKSCOUT_LIKE],
                              ids=lambda config: config.name)
@@ -446,6 +470,7 @@ class TestQuery:
     def test_hardened_query_raises_after_code_swap(self, tmp_path):
         w = build(HARDENED, tmp_path)
         w.service.submit_verification(w.request)
+        assert w.service.query(w.address).freshness is RedeployStatus.UNCHANGED
         w.chain.mock_selfdestruct(w.address)
         swapped = BODY + BLOCK_B
         w.chain.mock_deploy(swapped, make_creation_code(swapped),

@@ -5,7 +5,11 @@ import threading
 import pytest
 
 from srcverify._keccak import keccak256
-from srcverify.errors import NotVerifiedError, ReplacementDeniedError
+from srcverify.errors import (
+    DuplicateAfterNormalizationError,
+    NotVerifiedError,
+    ReplacementDeniedError,
+)
 from srcverify.matching import Grade
 from srcverify.store import RecordStore, VerificationRecord, normalize_address
 
@@ -81,6 +85,27 @@ class TestStoreAndLoad:
         base = tmp_path / "partial" / VICTIM
         assert (base / "record").is_file()
         assert (base / "sources" / "a.sol").read_text() == "contract A {}"
+
+    @pytest.mark.parametrize("paths", [("c/a.sol", "c/a.sol/x.sol"),
+                                       ("c/a.sol", "c/a.sol/../x.sol"),
+                                       ("a.sol", "../record/x.sol"),
+                                       ("a.sol", "")])
+    def test_file_needed_as_directory_refused_before_writing(self, tmp_path,
+                                                             paths):
+        store = RecordStore(tmp_path)
+        with pytest.raises(DuplicateAfterNormalizationError):
+            store.store_record(record(VICTIM, sources=dict.fromkeys(paths, "x")))
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_refused_upgrade_keeps_the_stored_record(self, tmp_path):
+        store = RecordStore(tmp_path)
+        store.store_record(record(VICTIM))
+        before = store.snapshot()
+        clash = {"a.sol": "x", "a.sol/b.sol": "y"}
+        with pytest.raises(DuplicateAfterNormalizationError):
+            store.store_record(record(VICTIM, grade=Grade.EXACT, sources=clash))
+        assert store.snapshot() == before
+        assert store.stored_grade(VICTIM) is Grade.PARTIAL
 
     def test_missing_record(self, tmp_path):
         with pytest.raises(NotVerifiedError):
