@@ -45,10 +45,19 @@ def code_hash(code: bytes) -> bytes:
 def first_mismatch(a: bytes, b: bytes) -> int | None:
     """First offset where a and b differ; the shorter length when one is a
     prefix of the other; None when they are equal."""
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return i
-    return None if len(a) == len(b) else min(len(a), len(b))
+    if a == b:
+        return None
+    lo, hi = 0, min(len(a), len(b))
+    if a[:hi] == b[:hi]:
+        return hi
+    # halve [lo, hi) while a[:lo] == b[:lo] and a[lo:hi] != b[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # Mnemonics for display and filters.  Unlisted opcodes render as UNKNOWN_xx;

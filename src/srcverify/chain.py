@@ -13,6 +13,7 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 from ._keccak import keccak256
@@ -52,6 +53,18 @@ class ChainContract:
     destroyed: bool = False
 
 
+@dataclass(frozen=True)
+class LiveCode:
+    """One read of an address's code, carrying the Keccak-256 of exactly
+    those bytes, computed at most once and only when first asked for."""
+
+    code: bytes
+
+    @cached_property
+    def hash(self) -> bytes:
+        return keccak256(self.code)
+
+
 class ChainClient(ABC):
     @abstractmethod
     def get_runtime_code(self, address: bytes) -> bytes:
@@ -61,15 +74,22 @@ class ChainClient(ABC):
     def get_creation_input(self, address: bytes) -> tuple[bytes, bytes, bytes]:
         """(tx_hash, input, deployer) of the most recent creation."""
 
+    def read_code(self, address: bytes) -> LiveCode:
+        """The current code with its hash, both of one read.
+
+        This default wraps get_runtime_code.  A node-backed client should
+        return the code and the account's codeHash read at one block tag
+        (eth_getCode plus eth_getProof, EIP-1186).
+        """
+        return LiveCode(self.get_runtime_code(address))
+
     def get_code_hash(self, address: bytes) -> bytes:
         """Keccak-256 of the current code; empty when there is no live code.
 
-        The EXTCODEHASH (EIP-1052) and eth_getProof codeHash (EIP-1186)
-        view.  This default hashes get_runtime_code; a node-backed client
-        should answer from account state instead.
+        The EXTCODEHASH (EIP-1052) and eth_getProof codeHash (EIP-1186) view.
         """
-        code = self.get_runtime_code(address)
-        return keccak256(code) if code else b""
+        live = self.read_code(address)
+        return live.hash if live.code else b""
 
 
 class MockChain(ChainClient):
@@ -82,8 +102,8 @@ class MockChain(ChainClient):
 
     def __init__(self) -> None:
         self._contracts: dict[bytes, ChainContract] = {}
-        # address -> (code, keccak256(code)), filled on the first hash read
-        self._code_hashes: dict[bytes, tuple[bytes, bytes]] = {}
+        # address -> the last LiveCode read there, whose hash may be known
+        self._live_code: dict[bytes, LiveCode] = {}
         self._lock = threading.Lock()
         self._sequence = 0
         self.reorg_in_progress = False
@@ -99,16 +119,17 @@ class MockChain(ChainClient):
             return b""
         return contract.runtime_code
 
-    def get_code_hash(self, address: bytes) -> bytes:
-        """The default, memoised per address while the code is the same
-        object: a revival or a reloaded fixture brings a new object."""
+    def read_code(self, address: bytes) -> LiveCode:
+        """One LiveCode per address while get_runtime_code returns the same
+        object: a revival or a reloaded fixture brings a new object.  So a
+        hash computed for one read, by a submit say, serves the next."""
         code = self.get_runtime_code(address)
         if not code:
-            return b""
-        memo = self._code_hashes.get(address)
-        if memo is None or memo[0] is not code:
-            memo = self._code_hashes[address] = (code, keccak256(code))
-        return memo[1]
+            return LiveCode(code)
+        live = self._live_code.get(address)
+        if live is None or live.code is not code:
+            live = self._live_code[address] = LiveCode(code)
+        return live
 
     def get_creation_input(self, address: bytes) -> tuple[bytes, bytes, bytes]:
         self._available()

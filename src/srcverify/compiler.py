@@ -120,11 +120,12 @@ class VerificationRequest:
                 for key in ("compilerVersion", "evmVersion", "target")):
             raise MalformedRequestError(
                 "settings must be an object with text version and target fields")
-        try:
-            compile_settings = CompileSettings.from_dict(settings)
-        except (TypeError, ValueError) as exc:
+        runs = settings.get("optimizerRuns", 0)
+        if isinstance(runs, bool) or not isinstance(runs, int):
+            # int() would turn 1.5 and true into 1 and accept "200": the
+            # request would compile under settings it does not state
             raise MalformedRequestError(
-                f"optimizerRuns must be an integer: {exc}") from exc
+                f"optimizerRuns must be an integer, got {runs!r}")
         address = payload.get("address")
         if address is not None and not isinstance(address, str):
             raise MalformedRequestError("address must be a hex string")
@@ -135,7 +136,7 @@ class VerificationRequest:
                 "libraries must map each library name to an address")
         return cls(
             sources=sources,
-            settings=compile_settings,
+            settings=CompileSettings.from_dict(settings),
             address=parse_hex(address) if address else None,
             declared_libraries=libraries,
         )

@@ -14,7 +14,6 @@ import re
 import time
 from dataclasses import dataclass, replace
 
-from ._keccak import keccak256
 from .abi import parse_params
 from .chain import ChainClient, RedeployStatus, detect_redeployment
 from .compiler import CompilerInterface, VerificationRequest
@@ -369,17 +368,17 @@ class VerifyService:
                                 ctor_params, cfg.policy,
                                 local_spans=creation_spans)
 
-        onchain = _attempt(self.chain.get_runtime_code, address_bytes)
+        onchain = _attempt(self.chain.read_code, address_bytes)
         if not checks_runtime:
             runtime = None
         elif isinstance(onchain, VerifierError):
             runtime = onchain
-        elif not onchain:
+        elif not onchain.code:
             runtime = NotFoundError(
                 "no runtime code on chain at the requested address")
         else:
             runtime = _attempt(
-                match_runtime, output, onchain, cfg.immutable_strategy,
+                match_runtime, output, onchain.code, cfg.immutable_strategy,
                 ctor_args=tx_input[len(output.creation_code):],
                 trust_simulated_return=cfg.trust_simulated_return,
                 placeholder_mode=cfg.placeholder_mode,
@@ -389,7 +388,9 @@ class VerifyService:
         result = _fold_legs(cfg.policy, creation, runtime)
         if isinstance(onchain, VerifierError):
             raise onchain
-        return result, tx_hash, keccak256(onchain)
+        # hashed only now, so a refused submit hashes nothing; the chain
+        # keeps the hash with the read, so the next query finds it computed
+        return result, tx_hash, onchain.hash
 
     # --- query ---
 

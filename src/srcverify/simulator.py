@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ._keccak import keccak256
-from .bytecode import OPCODE_NAMES, PUSH1, PUSH32
+from .bytecode import OPCODE_NAMES, PUSH1, PUSH32, first_mismatch
 from .errors import (
     BadJumpDestinationError,
     CreationDidNotReturnError,
@@ -124,7 +124,7 @@ def execute_creation(
 ) -> ExecutionResult:
     """Run creation ++ args in the bounded interpreter until it halts."""
     code = creation + args
-    dests = _valid_jumpdests(code)
+    dests: set[int] | None = None  # walked on the first jump, if any
     stack: list[int] = []
     memory = bytearray()
     storage: dict[int, int] = {}
@@ -151,6 +151,14 @@ def execute_creation(
             raise MemoryLimitExceededError(f"memory to {end} exceeds {MEMORY_LIMIT}")
         if end > len(memory):
             memory.extend(bytes(end - len(memory)))
+
+    def jump_target(dest: int) -> int:
+        nonlocal dests
+        if dests is None:
+            dests = _valid_jumpdests(code)
+        if dest not in dests:
+            raise BadJumpDestinationError(f"jump to {dest:#x}")
+        return dest
 
     def read_buffer(buf: bytes, offset: int, size: int) -> bytes:
         chunk = buf[offset:offset + size]
@@ -325,16 +333,12 @@ def execute_creation(
             writes[key] = value
         elif op == 0x56:  # JUMP
             (dest,) = pop(1)
-            if dest not in dests:
-                raise BadJumpDestinationError(f"jump to {dest:#x}")
-            pc = dest
+            pc = jump_target(dest)
             continue
         elif op == 0x57:  # JUMPI
             dest, cond = pop(2)
             if cond:
-                if dest not in dests:
-                    raise BadJumpDestinationError(f"jump to {dest:#x}")
-                pc = dest
+                pc = jump_target(dest)
                 continue
         elif op == 0x5B:  # JUMPDEST
             pass
@@ -400,13 +404,16 @@ def resolve_immutables_by_simulation(
     if len(returned) != len(template):
         raise ForeignReturnDataError(
             f"constructor returned {len(returned)} bytes, template is {len(template)}")
-    inside = set()
-    for ref in refs:
-        inside.update(range(ref.offset, ref.end))
-    for i, (got, want) in enumerate(zip(returned, template)):
-        if i not in inside and got != want:
+    # _check_refs ensured the regions are in range and do not overlap, so
+    # the gaps between them, sorted, run from each end to the next offset
+    regions = sorted((ref.offset, ref.end) for ref in refs)
+    starts = [0] + [end for _, end in regions]
+    stops = [offset for offset, _ in regions] + [len(template)]
+    for start, stop in zip(starts, stops):
+        i = first_mismatch(returned[start:stop], template[start:stop])
+        if i is not None:
             raise ForeignReturnDataError(
-                f"returned code deviates from template at offset {i} "
+                f"returned code deviates from template at offset {start + i} "
                 f"(outside immutable regions)")
     return returned
 

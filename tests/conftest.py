@@ -1,5 +1,26 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 # make tests/oracles.py importable from any test module
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """Every input any srcverify module hashes from here on, in order."""
+    import srcverify._keccak
+
+    seen = []
+    real = srcverify._keccak.keccak256
+
+    def counting(data):
+        seen.append(bytes(data))
+        return real(data)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("srcverify")
+                and getattr(module, "keccak256", None) is real):
+            monkeypatch.setattr(module, "keccak256", counting)
+    return seen

@@ -13,6 +13,8 @@ through a different route than the code under test.
   legacy-metadata candidate filter.
 - metadata_scan_oracle: the strict ipfs+solc block scan, testing every
   offset in turn.
+- first_mismatch_oracle, template_deviation_oracle: byte-by-byte walks for
+  the slice-comparing mismatch search and the constructor-return check.
 """
 
 from __future__ import annotations
@@ -259,3 +261,25 @@ def metadata_scan_oracle(code: bytes) -> list[tuple[int, int]]:
         else:
             i += 1
     return found
+
+
+# --- byte-by-byte comparisons ---
+
+def first_mismatch_oracle(a: bytes, b: bytes) -> int | None:
+    for i in range(min(len(a), len(b))):
+        if a[i] != b[i]:
+            return i
+    return None if len(a) == len(b) else min(len(a), len(b))
+
+
+def template_deviation_oracle(returned: bytes, template: bytes,
+                              regions: list[tuple[int, int]]) -> int | None:
+    """First offset outside every [offset, end) region where the two
+    equal-length codes differ, or None."""
+    inside = set()
+    for offset, end in regions:
+        inside.update(range(offset, end))
+    for i in range(len(template)):
+        if i not in inside and returned[i] != template[i]:
+            return i
+    return None

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from srcverify import code_hash, disassemble, keccak256, parse_hex, render_hex
-from srcverify.bytecode import Instruction, reassemble
+from srcverify.bytecode import Instruction, first_mismatch, reassemble
 from srcverify.errors import NonHexCharacterError, OddLengthError
 
-from oracles import keccak256_oracle
+from oracles import first_mismatch_oracle, keccak256_oracle
 
 # Frozen with the independent oracle (tests/oracles.py); the empty-input
 # digest is also a widely published constant.
@@ -121,3 +121,41 @@ class TestCodeHash:
         pattern = bytes((7 * i + 0xA5) & 0xFF for i in range(700))
         for n in range(701):
             assert keccak256(pattern[:n]) == keccak256_oracle(pattern[:n]), n
+
+
+@st.composite
+def near_pairs(draw):
+    """Two codes that mostly agree: equal, one a prefix of the other, or
+    differing at a few offsets, with a length change now and then."""
+    a = draw(st.binary(max_size=600))
+    b = bytearray(a)
+    for i in draw(st.lists(st.integers(0, max(len(a) - 1, 0)), max_size=3)):
+        if a:
+            b[i] ^= draw(st.integers(1, 255))
+    cut = draw(st.integers(0, len(b)))
+    b = draw(st.sampled_from([b, b[:cut], b + draw(st.binary(max_size=8))]))
+    return (a, bytes(b)) if draw(st.booleans()) else (bytes(b), a)
+
+
+class TestFirstMismatch:
+    @pytest.mark.parametrize("a,b,expected", [
+        (b"", b"", None),
+        (b"abc", b"abc", None),
+        (b"", b"a", 0),
+        (b"abc", b"ab", 2),
+        (b"abc", b"xbc", 0),
+        (b"abc", b"abx", 2),
+        (bytes(4096) + b"\x01", bytes(4097), 4096),
+    ])
+    def test_contract(self, a, b, expected):
+        assert first_mismatch(a, b) == expected
+        assert first_mismatch(b, a) == expected
+
+    @given(near_pairs())
+    def test_agrees_with_byte_walk(self, pair):
+        a, b = pair
+        assert first_mismatch(a, b) == first_mismatch_oracle(a, b)
+
+    @given(st.binary(max_size=64), st.binary(max_size=64))
+    def test_agrees_with_byte_walk_on_unrelated_codes(self, a, b):
+        assert first_mismatch(a, b) == first_mismatch_oracle(a, b)

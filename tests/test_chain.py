@@ -8,6 +8,7 @@ from oracles import create2_oracle, keccak256_oracle
 from srcverify.bytecode import code_hash, parse_hex
 from srcverify.chain import (
     ChainClient,
+    LiveCode,
     MockChain,
     RedeployStatus,
     create2_address,
@@ -199,24 +200,52 @@ class TestDetectRedeployment:
 
 
 class TestCodeHash:
-    """get_code_hash, and the mock's memo of it, never serve a stale hash."""
+    """read_code, get_code_hash, and the mock's memo of them, never serve a
+    stale hash."""
 
     def test_hash_of_live_code_and_empty_without_code(self):
         chain = MockChain()
         addr = chain.mock_deploy(RUNTIME_A, creation_input=RUNTIME_A)
+        assert chain.read_code(addr).code == RUNTIME_A
+        assert chain.read_code(addr).hash == keccak256_oracle(RUNTIME_A)
         assert chain.get_code_hash(addr) == keccak256_oracle(RUNTIME_A)
         assert chain.get_code_hash(addr) == keccak256_oracle(RUNTIME_A)
+        assert chain.read_code(bytes(20)).code == b""
         assert chain.get_code_hash(bytes(20)) == b""
         chain.mock_selfdestruct(addr)
+        assert chain.read_code(addr).code == b""
         assert chain.get_code_hash(addr) == b""
+
+    def test_live_code_hashes_once_and_only_when_asked(self, hashed):
+        live = LiveCode(RUNTIME_A)
+        assert hashed == []
+        assert live.hash == keccak256_oracle(RUNTIME_A)
+        assert live.hash == keccak256_oracle(RUNTIME_A)
+        assert hashed == [RUNTIME_A]
+        # the hash of exactly the bytes read, so also of no bytes
+        assert LiveCode(b"").hash == keccak256_oracle(b"")
+
+    def test_memo_serves_one_hash_per_code(self, hashed):
+        chain = MockChain()
+        addr = chain.mock_deploy(RUNTIME_A, creation_input=RUNTIME_A)
+        hashed.clear()
+        first = chain.read_code(addr)
+        assert chain.read_code(addr) is first
+        assert first.hash == chain.get_code_hash(addr) == \
+            keccak256_oracle(RUNTIME_A)
+        assert hashed == [RUNTIME_A]
 
     def test_create2_revive_after_memoised_query_is_changed(self):
         chain = MockChain()
         addr = chain.mock_create2_deploy(DEPLOYER, SALT, INIT, RUNTIME_A)
         recorded = code_hash(RUNTIME_A)
+        before = chain.read_code(addr)
         assert detect_redeployment(chain, addr, recorded) is RedeployStatus.UNCHANGED
         chain.mock_selfdestruct(addr)
         chain.mock_create2_deploy(DEPLOYER, SALT, INIT, RUNTIME_B)
+        after = chain.read_code(addr)
+        assert after is not before
+        assert (after.code, after.hash) == (RUNTIME_B, keccak256_oracle(RUNTIME_B))
         assert chain.get_code_hash(addr) == keccak256_oracle(RUNTIME_B)
         assert detect_redeployment(chain, addr, recorded) is RedeployStatus.CHANGED
 
@@ -226,15 +255,17 @@ class TestCodeHash:
         recorded = code_hash(RUNTIME_A)
         assert detect_redeployment(chain, addr, recorded) is RedeployStatus.UNCHANGED
         chain.mock_selfdestruct(addr)
+        assert chain.read_code(addr).code == b""
         assert detect_redeployment(chain, addr, recorded) is RedeployStatus.DESTROYED
 
     def test_unknown_address_is_never_seen(self):
         chain = MockChain()
         chain.mock_deploy(RUNTIME_A, creation_input=RUNTIME_A)
+        assert chain.read_code(b"\x42" * 20).code == b""
         status = detect_redeployment(chain, b"\x42" * 20, code_hash(RUNTIME_A))
         assert status is RedeployStatus.NEVER_SEEN
 
-    def test_loaded_fixture_hashes_its_code(self, tmp_path):
+    def test_loaded_fixture_hashes_its_code(self, tmp_path, hashed):
         chain = MockChain()
         a = chain.mock_deploy(RUNTIME_A, creation_input=b"\x01")
         b = chain.mock_deploy(RUNTIME_B, creation_input=b"\x02")
@@ -243,12 +274,15 @@ class TestCodeHash:
         path = tmp_path / "chain.json"
         chain.save_fixture(path)
         loaded = MockChain.load_fixture(path)
+        hashed.clear()
+        assert loaded.read_code(a).hash == keccak256_oracle(RUNTIME_A)
+        assert hashed == [RUNTIME_A]
         assert loaded.get_code_hash(a) == keccak256_oracle(RUNTIME_A)
         assert loaded.get_code_hash(b) == b""
         assert detect_redeployment(loaded, b, code_hash(RUNTIME_B)) is \
             RedeployStatus.DESTROYED
 
-    def test_default_hashes_runtime_code(self):
+    def test_default_hashes_runtime_code(self, hashed):
         class MinimalClient(ChainClient):
             def __init__(self, codes):
                 self.codes = codes
@@ -260,8 +294,14 @@ class TestCodeHash:
                 raise NotFoundError("no creations in this client")
 
         client = MinimalClient({b"\x01" * 20: RUNTIME_A})
+        live = client.read_code(b"\x01" * 20)
+        assert isinstance(live, LiveCode)
+        assert (live.code, live.hash) == (RUNTIME_A, keccak256_oracle(RUNTIME_A))
+        assert client.read_code(b"\x02" * 20).code == b""
         assert client.get_code_hash(b"\x01" * 20) == \
             keccak256_oracle(client.get_runtime_code(b"\x01" * 20))
         assert client.get_code_hash(b"\x02" * 20) == b""
         assert detect_redeployment(client, b"\x01" * 20, code_hash(RUNTIME_A)) \
             is RedeployStatus.UNCHANGED
+        # every input hashed was a runtime read through get_runtime_code
+        assert set(hashed) == {RUNTIME_A}

@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +85,22 @@ class TestVerifyAndQuery:
                            "--store", world["store"])
         assert code == 1
         assert "no compiler configured" in err
+
+    @pytest.mark.parametrize("runs", [1.5, True, "200"])
+    def test_verify_refuses_non_integer_optimizer_runs(self, world, capsys,
+                                                       runs):
+        path = Path(world["request"])
+        request = json.loads(path.read_text())
+        request["settings"]["optimizerRuns"] = runs
+        path.write_text(json.dumps(request))
+        code, out, err = run(capsys, "verify", world["request"],
+                             "--chain", world["chain"],
+                             "--store", world["store"],
+                             "--compiler", world["compiler"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: optimizerRuns must be an integer")
+        assert "Traceback" not in err
 
     def test_query_round_trip(self, world, capsys):
         run(capsys, "verify", world["request"], "--chain", world["chain"],

@@ -174,6 +174,10 @@ class TestRequestJson:
         ("address", 5),
         ("libraries", 3),
         ("libraries", {"Lib": 5}),
+        ("settings", {"optimizerRuns": "200"}),
+        ("settings", {"optimizerRuns": 1.5}),
+        ("settings", {"optimizerRuns": 200.0}),
+        ("settings", {"optimizerRuns": True}),
     ])
     def test_wrongly_typed_fields_rejected(self, field, value):
         payload = {"sources": SOURCES, "settings": {"target": TARGET}}
@@ -492,6 +496,75 @@ class TestQuery:
         w = build(HARDENED, tmp_path)
         with pytest.raises(NotVerifiedError):
             w.service.query(b"\x99" * 20)
+
+
+CAP_RUNTIME = BODY + bytes(24576 - len(BODY) - len(BLOCK_A)) + BLOCK_A
+FACTORY, SALT, INIT = b"\x11" * 20, b"\x22" * 32, bytes.fromhex("600080f3")
+
+
+class TestCodeHashedOnce:
+    """A submit's matched read seeds the chain's memo, so the freshness
+    check of the next query hashes nothing, and never serves a stale hash."""
+
+    def test_submit_then_query_hashes_the_runtime_once(self, tmp_path, hashed):
+        w = build(HARDENED, tmp_path, runtime=CAP_RUNTIME)
+        record = w.service.submit_verification(w.request)
+        assert w.service.query(w.address).freshness is RedeployStatus.UNCHANGED
+        assert hashed.count(CAP_RUNTIME) == 1
+        assert record.code_hash_at_verification == keccak256(CAP_RUNTIME)
+
+    def test_refused_submit_hashes_nothing(self, tmp_path, hashed):
+        deployed = bytearray(CAP_RUNTIME)
+        deployed[100] ^= 0xFF
+        deployed = bytes(deployed)
+        w = build(HARDENED, tmp_path, runtime=CAP_RUNTIME,
+                  deployed_runtime=deployed,
+                  deployed_creation=make_creation_code(deployed))
+        with pytest.raises(NoMatchError):
+            w.service.submit_verification(w.request)
+        assert deployed not in hashed
+
+    def _seeded(self, tmp_path):
+        """A hardened record of a CREATE2-deployed contract, whose submit
+        left the hash in the chain's memo."""
+        w = build(HARDENED, tmp_path)
+        address = w.chain.mock_create2_deploy(
+            FACTORY, SALT, INIT, RUNTIME, creation_input=w.output.creation_code)
+        w.service.submit_verification(
+            dataclasses.replace(w.request, address=address))
+        return w, address
+
+    def test_create2_revival_after_seeded_submit_is_stale(self, tmp_path):
+        w, address = self._seeded(tmp_path)
+        w.chain.mock_selfdestruct(address)
+        w.chain.mock_create2_deploy(FACTORY, SALT, INIT, BODY + BLOCK_B)
+        with pytest.raises(StaleRecordError):
+            w.service.query(address)
+        assert w.service.query(address, strict=False).freshness is \
+            RedeployStatus.CHANGED
+
+    def test_destroy_after_seeded_submit_is_destroyed(self, tmp_path):
+        w, address = self._seeded(tmp_path)
+        w.chain.mock_selfdestruct(address)
+        with pytest.raises(StaleRecordError):
+            w.service.query(address)
+        assert w.service.query(address, strict=False).freshness is \
+            RedeployStatus.DESTROYED
+
+    def test_code_swap_after_submit_is_changed(self, tmp_path):
+        chain = CodeSwapChain(swapped=BODY + BLOCK_B)
+        w = build(HARDENED, tmp_path, chain=chain)
+        record = w.service.submit_verification(w.request)
+        assert chain.runtime_reads == 1
+        assert record.code_hash_at_verification == keccak256(RUNTIME)
+        assert w.service.query(w.address, strict=False).freshness is \
+            RedeployStatus.CHANGED
+
+    def test_creation_only_record_of_destroyed_code_hashes_no_bytes(self, tmp_path):
+        w = build(NAIVE_BLOCKSCOUT_LIKE, tmp_path)
+        w.chain.mock_selfdestruct(w.address)
+        record = w.service.submit_verification(w.request)
+        assert record.code_hash_at_verification == keccak256(b"")
 
 
 class TestInheritance:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import keccak256_oracle
+from oracles import keccak256_oracle, template_deviation_oracle
 from srcverify.errors import (
     BadJumpDestinationError,
     CreationDidNotReturnError,
@@ -344,6 +344,68 @@ class TestImmutableResolution:
         with pytest.raises(SpanOutOfRangeError):
             resolve_immutables_by_simulation(
                 bytes(16), [ImmutableRef(0, 8), ImmutableRef(4, 4)], b"\x00")
+
+
+@st.composite
+def filled_templates(draw):
+    """(template, regions, returned): returned fills each region with other
+    bytes and may deviate anywhere, inside the regions or out."""
+    template = draw(st.binary(min_size=1, max_size=300))
+    n = len(template)
+    # consecutive cut points pair up into sorted, disjoint regions, some
+    # empty, some touching offset 0 or the end
+    cuts = sorted(draw(st.lists(
+        st.one_of(st.just(0), st.just(n), st.integers(0, n)), max_size=8)))
+    regions = list(zip(cuts[::2], cuts[1::2]))
+    returned = bytearray(template)
+    for offset, end in regions:
+        returned[offset:end] = draw(st.binary(min_size=end - offset,
+                                              max_size=end - offset))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        returned[i] ^= draw(st.integers(1, 255))
+    return template, regions, bytes(returned)
+
+
+class TestTemplateDeviation:
+    """The constructor-return check reports the first deviation outside
+    the immutable regions, at the offset a byte-by-byte walk finds."""
+
+    @staticmethod
+    def check(template, regions, returned):
+        refs = [ImmutableRef(offset, end - offset) for offset, end in regions]
+        expected = template_deviation_oracle(returned, template, regions)
+        creation = make_creation(returned)
+        if expected is None:
+            assert resolve_immutables_by_simulation(
+                template, refs, creation) == returned
+        else:
+            with pytest.raises(ForeignReturnDataError,
+                               match=f"at offset {expected} "):
+                resolve_immutables_by_simulation(template, refs, creation)
+
+    @pytest.mark.parametrize("regions,flips,expected", [
+        ([(0, 4), (28, 32)], [0, 3, 28, 31], None),      # refs at both ends
+        ([(0, 4), (28, 32)], [4], 4),                    # just after the first
+        ([(0, 4), (28, 32)], [27], 27),                  # just before the last
+        ([(8, 8), (16, 16)], [8], 8),                    # zero-length refs
+        ([(8, 12)], [2, 20], 2),                         # before the refs
+        ([(8, 12), (20, 24)], [10, 15, 22], 15),         # between the refs
+        ([(8, 12)], [9, 30], 30),                        # after the refs
+        ([], [], None),
+    ])
+    def test_cases(self, regions, flips, expected):
+        template = bytes(range(0x40, 0x60))
+        returned = bytearray(template)
+        for i in flips:
+            returned[i] ^= 0xFF
+        assert template_deviation_oracle(bytes(returned), template,
+                                         regions) == expected
+        self.check(template, regions, bytes(returned))
+
+    @settings(max_examples=200, deadline=None)
+    @given(filled_templates())
+    def test_agrees_with_byte_walk(self, case):
+        self.check(*case)
 
 
 class TestChainBackfill:
