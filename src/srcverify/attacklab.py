@@ -26,10 +26,10 @@ import json
 import tempfile
 from dataclasses import dataclass, field, replace
 from functools import reduce
+from hashlib import sha256
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from ._keccak import keccak256
 from .bytecode import disassemble
 from .chain import MockChain
 from .compiler import (
@@ -143,14 +143,19 @@ def _note_chain(export: Path | None, chain: MockChain) -> None:
 
 
 # --- scenario bodies ---
+#
+# Metadata digests and the R4 salt need only be distinct 32-byte values;
+# sha2-256 is also what solc puts in its IPFS metadata multihash.
 
 _BODY = bytes.fromhex("6080604052600a600055")
 
 
 def _run_r1(config, root, export):
     """Hand-assembled twin earns a partial match, inheritance labels the victim."""
-    victim_runtime = _BODY + make_metadata_block(keccak256(b"victim project build"))
-    forged_runtime = _BODY + make_metadata_block(keccak256(b"hand-assembled twin"))
+    victim_runtime = _BODY + make_metadata_block(
+        sha256(b"victim project build").digest())
+    forged_runtime = _BODY + make_metadata_block(
+        sha256(b"hand-assembled twin").digest())
     service, compiler, chain, store = _world(config, root)
 
     victim = chain.mock_deploy(victim_runtime, make_creation_code(victim_runtime),
@@ -190,21 +195,21 @@ def _run_r1(config, root, export):
 
 def _run_r2(config, root, export):
     """Constructor that returns someone else's runtime bytes."""
-    victim_runtime = _BODY + make_metadata_block(keccak256(b"victim defi build"))
+    victim_runtime = _BODY + make_metadata_block(sha256(b"victim defi build").digest())
     service, compiler, chain, store = _world(config, root)
     victim = chain.mock_deploy(victim_runtime, make_creation_code(victim_runtime),
                                deployer=bytes.fromhex("11" * 20))
     _note_chain(export, chain)
 
     claimed = bytes.fromhex("6001600101") + make_metadata_block(
-        keccak256(b"forwarder claim"))
+        sha256(b"forwarder claim").digest())
     sources = {"exploit/forwarder.sol":
                "contract Forwarder { constructor() { /* early return */ } }\n"}
     settings = CompileSettings(target="exploit/forwarder.sol:Forwarder")
     output = CompilationOutput(
         creation_code=make_creation_code(
             victim_runtime,
-            extra=make_metadata_block(keccak256(b"forwarder wrapper"))),
+            extra=make_metadata_block(sha256(b"forwarder wrapper").digest())),
         runtime_template=claimed)
     compiler.register(sources, settings, output)
     request = VerificationRequest(sources=sources, settings=settings,
@@ -240,7 +245,8 @@ def _run_r2(config, root, export):
 
 def _run_r3(config, root, export):
     """Abstract contract with zero local bytecode claims a live deployment."""
-    victim_runtime = _BODY + make_metadata_block(keccak256(b"victim wallet build"))
+    victim_runtime = _BODY + make_metadata_block(
+        sha256(b"victim wallet build").digest())
     service, compiler, chain, store = _world(config, root)
     victim = chain.mock_deploy(victim_runtime, make_creation_code(victim_runtime),
                                deployer=bytes.fromhex("11" * 20))
@@ -269,9 +275,9 @@ def _run_r3(config, root, export):
 def _run_r4(config, root, export):
     """Metamorphic redeploy: same address, different code, stale record."""
     factory = bytes.fromhex("fa" * 20)
-    salt = keccak256(b"metamorphic slot")
-    v1 = _BODY + make_metadata_block(keccak256(b"honest vault v1"))
-    v2 = bytes.fromhex("33ff") + make_metadata_block(keccak256(b"drainer v2"))
+    salt = sha256(b"metamorphic slot").digest()
+    v1 = _BODY + make_metadata_block(sha256(b"honest vault v1").digest())
+    v2 = bytes.fromhex("33ff") + make_metadata_block(sha256(b"drainer v2").digest())
     service, compiler, chain, store = _world(config, root)
 
     sources = {"vault/vault.sol": "contract Vault { uint256 shares; }\n"}
@@ -311,13 +317,13 @@ def _run_r4(config, root, export):
 def _run_r5(config, root, export):
     """Linked library address hosts code nobody verified; no one is told."""
     lib_runtime = bytes.fromhex("33ff") + make_metadata_block(
-        keccak256(b"scam math lib"))
+        sha256(b"scam math lib").digest())
     service, compiler, chain, store = _world(config, root)
     library = chain.mock_deploy(lib_runtime, bytes.fromhex("00"),
                                 deployer=bytes.fromhex("bb" * 20))
 
     template = (b"\x60\x80" + b"\x73" + bytes(20) + b"\x00"
-                + make_metadata_block(keccak256(b"vault with lib")))
+                + make_metadata_block(sha256(b"vault with lib").digest()))
     linked = bytearray(template)
     linked[3:23] = library
     sources = {
@@ -398,11 +404,11 @@ def _run_r6(config, root, export):
     # differential metadata span, masking the backdoor byte at offset 9
     innocent = (bytes.fromhex("6080604052") + b"\xa2"
                 + bytes.fromhex("6001600055") + bytes(8)
-                + make_metadata_block(keccak256(b"token build")))
+                + make_metadata_block(sha256(b"token build").digest()))
     backdoored = bytearray(innocent)
     backdoored[9] = 0xFF
     variant = bytearray(innocent[:19] + make_metadata_block(
-        keccak256(b"token build with injected lib")))
+        sha256(b"token build with injected lib").digest()))
     variant[9] = 0x01
     token_sources = {"contracts/token.sol":
                      "contract Token { uint8 fee = 1; }\n"}
@@ -441,7 +447,7 @@ def _run_r7(config, root, export):
     """Source path that climbs out of its record and rewrites a foreign one."""
     service, compiler, chain, store = _world(config, root)
 
-    treasury_runtime = _BODY + make_metadata_block(keccak256(b"treasury build"))
+    treasury_runtime = _BODY + make_metadata_block(sha256(b"treasury build").digest())
     treasury_sources = {"contracts/treasury.sol":
                         "contract Treasury { address owner; }\n"}
     treasury_settings = CompileSettings(target="contracts/treasury.sol:Treasury")
@@ -455,7 +461,7 @@ def _run_r7(config, root, export):
         sources=treasury_sources, settings=treasury_settings, address=treasury))
 
     shell_runtime = (bytes.fromhex("6002600055")
-                     + make_metadata_block(keccak256(b"shell build")))
+                     + make_metadata_block(sha256(b"shell build").digest()))
     evil_path = (f"../../../{victim_record.grade.value}/"
                  f"{victim_record.address}/sources/contracts/treasury.sol")
     shell_sources = {
@@ -492,7 +498,7 @@ def _run_r7(config, root, export):
 
 def _run_r8(config, root, export):
     """Two same-named contracts, one bare display name."""
-    runtime = _BODY + make_metadata_block(keccak256(b"token pair build"))
+    runtime = _BODY + make_metadata_block(sha256(b"token pair build").digest())
     service, compiler, chain, store = _world(config, root)
     sources = {
         "contracts/token.sol": "contract Token { function mint() internal {} }\n",

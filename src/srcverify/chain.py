@@ -8,6 +8,7 @@ at the same address) can be reproduced and detected.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from abc import ABC, abstractmethod
@@ -98,6 +99,10 @@ class MockChain(ChainClient):
     Mutators are serialized under a lock; reads are safe between mutations.
     Setting reorg_in_progress makes all reads fail with BackendUnavailable
     until cleared (the only reorg behaviour modeled).
+
+    Transaction hashes and default deploy addresses need only be distinct
+    and deterministic, and the EVM does not define them, so they are
+    sha2-256; CREATE2 addresses, which it does define, stay Keccak-256.
     """
 
     def __init__(self) -> None:
@@ -141,7 +146,8 @@ class MockChain(ChainClient):
 
     def _next_tx_hash(self, address: bytes) -> bytes:
         self._sequence += 1
-        return keccak256(b"txn" + self._sequence.to_bytes(8, "big") + address)
+        return hashlib.sha256(
+            b"txn" + self._sequence.to_bytes(8, "big") + address).digest()
 
     def _place(self, address: bytes, runtime: bytes, creation_input: bytes,
                deployer: bytes) -> bytes:
@@ -163,8 +169,9 @@ class MockChain(ChainClient):
         with self._lock:
             if address is None:
                 self._sequence += 1
-                address = keccak256(
-                    b"deploy" + deployer + self._sequence.to_bytes(8, "big"))[12:]
+                address = hashlib.sha256(
+                    b"deploy" + deployer + self._sequence.to_bytes(8, "big")
+                ).digest()[12:]
             return self._place(address, runtime, creation_input, deployer)
 
     def mock_selfdestruct(self, address: bytes) -> None:

@@ -15,7 +15,6 @@ import subprocess
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
-from ._keccak import keccak256
 from .bytecode import parse_hex
 from .errors import CompilerFailureError, MalformedRequestError
 from .linker import (
@@ -194,7 +193,9 @@ class FixtureCompiler(CompilerInterface):
         out = bytearray(code)
         for span in scan_metadata(code):
             region = slice(span.start + _HASH_SLICE.start, span.start + _HASH_SLICE.stop)
-            out[region] = b"\x12\x20" + keccak256(bytes(out[region]) + b"\x01")
+            # a sha2-256 multihash, the kind solc writes for IPFS metadata
+            digest = hashlib.sha256(bytes(out[region]) + b"\x01").digest()
+            out[region] = b"\x12\x20" + digest
         return bytes(out)
 
     def _perturb(self, base: CompilationOutput) -> CompilationOutput:

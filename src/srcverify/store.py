@@ -127,6 +127,10 @@ class RecordStore:
         Exact may replace Partial.  Equal grades never replace (first
         submission wins) and Partial never replaces Exact.  With
         ``allow_replacement`` off, any second submission is refused.
+
+        A replacement writes the new exact record before removing the old
+        partial one; exact shadows partial in lookups, so a failed write
+        leaves the stored record in place.
         """
         self._check_layout(record)
         with self._lock_for(record.address):
@@ -141,8 +145,20 @@ class RecordStore:
                     raise ReplacementDeniedError(
                         f"{record.grade.value} may not replace {old_grade.value} "
                         f"for {record.address}")
+            try:
+                self._write(record)
+            except (FileExistsError, NotADirectoryError, IsADirectoryError) as exc:
+                # a source path ran into an entry of the other kind already
+                # on disk, which _check_layout cannot see
+                base = self._record_dir(record.grade, record.address)
+                if base.is_dir():
+                    shutil.rmtree(base)
+                raise DuplicateAfterNormalizationError(
+                    f"record for {record.address} needs "
+                    f"{os.path.relpath(exc.filename, self.root)}, which is "
+                    f"already on disk as another kind of entry") from exc
+            if found is not None:
                 shutil.rmtree(old_dir)
-            self._write(record)
         return record
 
     def _check_layout(self, record: VerificationRecord) -> None:

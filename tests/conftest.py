@@ -9,7 +9,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture
 def hashed(monkeypatch):
-    """Every input any srcverify module hashes from here on, in order."""
+    """Every input any srcverify module hashes with Keccak-256 from here on,
+    in order."""
     import srcverify._keccak
 
     seen = []

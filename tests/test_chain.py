@@ -171,6 +171,27 @@ class TestMockChain:
         assert loaded.get_creation_input(a)[2] == DEPLOYER
 
 
+class TestMockIdentifiers:
+    """Mock tx hashes and deploy addresses are not EVM-defined, so they cost
+    no Keccak; CREATE2 hashes its two preimages and nothing else."""
+
+    def test_deploy_and_tx_hash_use_no_keccak(self, hashed):
+        chain = MockChain()
+        a = chain.mock_deploy(RUNTIME_A, creation_input=b"\x01")
+        b = chain.mock_deploy(RUNTIME_B, creation_input=b"\x02",
+                              address=b"\x42" * 20)
+        assert a != b and len(a) == 20
+        tx_a, tx_b = chain.get_creation_input(a)[0], chain.get_creation_input(b)[0]
+        assert tx_a != tx_b and len(tx_a) == len(tx_b) == 32
+        assert hashed == []
+
+    def test_create2_hashes_only_its_preimages(self, hashed):
+        chain = MockChain()
+        addr = chain.mock_create2_deploy(DEPLOYER, SALT, INIT, RUNTIME_A)
+        assert addr == create2_oracle(DEPLOYER, SALT, INIT)
+        assert hashed == [INIT, b"\xff" + DEPLOYER + SALT + keccak256_oracle(INIT)]
+
+
 class TestDetectRedeployment:
     def test_unchanged_immediately_after_capture(self):
         chain = MockChain()

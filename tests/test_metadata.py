@@ -1,5 +1,7 @@
 """Metadata labeling: strict pattern scan vs differential extraction."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -321,6 +323,22 @@ class TestFixtureCompiler:
         assert got.runtime_template[:start + 8] == runtime[:start + 8]
         assert got.runtime_template[start + 42:] == runtime[start + 42:]
         assert got.runtime_template[start + 8:start + 42] != runtime[start + 8:start + 42]
+
+    def test_auto_perturb_writes_sha2_multihash_without_keccak(self, hashed):
+        compiler = FixtureCompiler()
+        settings = CompileSettings(target="box.sol:Box")
+        runtime = BODY + BLOCK
+        register_simple(compiler, fixture_sources(), settings, runtime)
+        perturbed = dict(fixture_sources())
+        perturbed[INJECTED_FILENAME] = "x"
+        hashed.clear()
+        got = compiler.compile(perturbed, settings)
+        region = slice(len(BODY) + 8, len(BODY) + 42)
+        expected = b"\x12\x20" + hashlib.sha256(runtime[region] + b"\x01").digest()
+        assert got.runtime_template[region] == expected
+        # the creation code carries the runtime, and so its block, from offset 12
+        assert got.creation_code[12:][region] == expected
+        assert hashed == []
 
     def test_auto_perturb_is_deterministic(self):
         compiler = FixtureCompiler()

@@ -341,6 +341,27 @@ class TestSubmitVerification:
         assert w.store.load(victim.address).sources["a.sol"] == "contract Evil {}"
         assert w.store.verify_integrity(victim.address) == ["a.sol"]
 
+    def test_naive_path_into_another_manifest_refused_without_leftovers(
+            self, tmp_path):
+        w = build(NAIVE_SOURCIFY_LIKE, tmp_path)
+        other = VerificationRecord(
+            address="0x" + "11" * 20, grade=Grade.EXACT,
+            sources={"a.sol": "contract Other {}"},
+            fully_qualified_target="a.sol:Other", settings={},
+            code_hash_at_verification=bytes(32))
+        w.store.store_record(other)
+        before = w.store.snapshot()
+        sources = dict(w.request.sources)
+        sources[f"../../{other.address}/record/x.sol"] = "contract Evil {}"
+        w.compiler.register(sources, w.settings, w.output)
+        request = VerificationRequest(sources=sources, settings=w.settings,
+                                      address=w.address)
+        with pytest.raises(DuplicateAfterNormalizationError):
+            w.service.submit_verification(request)
+        assert w.store.snapshot() == before
+        assert not w.store.has(w.address)
+        assert not (w.store.root / "exact" / ("0x" + w.address.hex())).exists()
+
     def test_empty_local_verifies_on_naive_but_not_hardened(self, tmp_path):
         abstract = CompilationOutput(creation_code=b"", runtime_template=b"")
         naive = build(NAIVE_SOURCIFY_LIKE, tmp_path, output=abstract,

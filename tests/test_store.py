@@ -107,6 +107,31 @@ class TestStoreAndLoad:
         assert store.snapshot() == before
         assert store.stored_grade(VICTIM) is Grade.PARTIAL
 
+    @pytest.mark.parametrize("entry", ["record/x.sol", "record/sub/x.sol",
+                                       "sources"])
+    def test_path_into_entry_on_disk_refused_without_leftovers(self, tmp_path,
+                                                               entry):
+        store = RecordStore(tmp_path)
+        store.store_record(record(ATTACKER))
+        before = store.snapshot()
+        sources = {"a.sol": "x", f"../../{ATTACKER}/{entry}": "y"}
+        with pytest.raises(DuplicateAfterNormalizationError):
+            store.store_record(record(VICTIM, sources=sources))
+        assert store.snapshot() == before
+        assert not (tmp_path / "partial" / VICTIM).exists()
+
+    def test_failed_upgrade_keeps_the_stored_record(self, tmp_path):
+        store = RecordStore(tmp_path)
+        store.store_record(record(ATTACKER, grade=Grade.EXACT))
+        store.store_record(record(VICTIM))
+        before = store.snapshot()
+        sources = {"a.sol": "x", f"../../{ATTACKER}/record/x.sol": "y"}
+        with pytest.raises(DuplicateAfterNormalizationError):
+            store.store_record(record(VICTIM, grade=Grade.EXACT, sources=sources))
+        assert store.snapshot() == before
+        assert store.stored_grade(VICTIM) is Grade.PARTIAL
+        assert not (tmp_path / "exact" / VICTIM).exists()
+
     def test_missing_record(self, tmp_path):
         with pytest.raises(NotVerifiedError):
             RecordStore(tmp_path).load(VICTIM)
