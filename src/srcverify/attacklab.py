@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 from hashlib import sha256
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .bytecode import disassemble
 from .chain import MockChain
@@ -728,11 +728,12 @@ def assert_matrix() -> dict[tuple[str, str], ExploitOutcome]:
 class Guard(NamedTuple):
     """What one config field guards, and how its naive setting reads."""
 
-    scenario: str | None         # the scenario the naive value reopens
-    naive: object                # the field's naive value
-    note: str = ""               # scan_config's finding for the naive value
-    requires: str | None = None  # a bool field that must be on for it to count
-    canonical: bool = False      # the field flipped to demonstrate the scenario
+    scenario: str | None     # the scenario the naive value reopens
+    naive: object            # the field's naive value
+    note: str = ""           # scan_config's finding for the naive value
+    canonical: bool = False  # the field flipped to demonstrate the scenario
+    # the values other fields must hold for the naive value to count
+    requires: Mapping[str, object] = {}
 
 
 # Keyed by config field, dotted for policy sub-fields, in scan_config's order.
@@ -741,11 +742,13 @@ GUARDS: dict[str, Guard] = {
         "R1", True,
         "runtime-hash inheritance accepts donors whose match came from "
         "hand-written assembly, auto-labeling every identical deployment",
-        requires="inherit_identical_runtime", canonical=True),
+        requires={"inherit_identical_runtime": True}, canonical=True),
     "trust_simulated_return": Guard(
         "R2", True,
         "simulated constructor return is compared against the chain "
-        "without checking it against the compiled template", canonical=True),
+        "without checking it against the compiled template",
+        requires={"immutable_strategy": ImmutableStrategy.SIM_GUARDED},
+        canonical=True),
     "accept_imported_records": Guard(
         "R2", True,
         "records imported from another instance are adopted wholesale, "
@@ -810,7 +813,8 @@ def scan_config(config: VerifierConfig) -> list[tuple[str, str, str]]:
     return [_RESIDUAL_NOTE] + [
         (path, guard.scenario, guard.note) for path, guard in GUARDS.items()
         if guard.scenario is not None and _value(config, path) == guard.naive
-        and (guard.requires is None or getattr(config, guard.requires))]
+        and all(_value(config, other) == value
+                for other, value in guard.requires.items())]
 
 
 def _naive_value(field_name: str):

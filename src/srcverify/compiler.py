@@ -21,7 +21,6 @@ from .linker import (
     PlaceholderForm,
     PlaceholderSpan,
     declared_placeholders,
-    splice_unlinked_text,
 )
 from .metadata import _HASH_SLICE, INJECTED_FILENAME, scan_metadata
 from .simulator import ImmutableRef
@@ -70,9 +69,6 @@ class CompilationOutput:
     # ABI type strings of the constructor, or None when the ABI is undeclared
     ctor_params: list[str] | None = None
     uses_inline_assembly: bool = False
-
-    def unlinked_runtime_text(self) -> str:
-        return splice_unlinked_text(self.runtime_template, self.link_refs)
 
 
 @dataclass

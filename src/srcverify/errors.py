@@ -136,10 +136,6 @@ class InvalidConstructorArgumentsError(VerifierError):
     """The remainder after the creation-code prefix fails strict ABI validation."""
 
 
-class MissingComparisonError(VerifierError):
-    """grade() was called without the reports its policy requires."""
-
-
 # --- verification service ---
 
 class MalformedRequestError(VerifierError):
@@ -164,15 +160,18 @@ class CompilerFailureError(VerifierError):
 
 
 class NoMatchError(VerifierError):
-    """Verification failed; carries the MatchResult with first-mismatch evidence.
+    """Verification failed.
 
-    causes holds per-artifact guard errors when both comparison legs failed,
-    so callers can see which guards fired without string parsing.
+    A runtime leg that compared and differed sets first_mismatch, the first
+    differing offset.  When no leg of an either-leg policy matched, causes
+    holds every failed leg's error, so callers can see which guards fired
+    without string parsing.
     """
 
-    def __init__(self, message: str, result=None, causes=()):
+    def __init__(self, message: str, first_mismatch: int | None = None,
+                 causes=()):
         super().__init__(message)
-        self.result = result
+        self.first_mismatch = first_mismatch
         self.causes = tuple(causes)
 
 

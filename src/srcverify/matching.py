@@ -4,8 +4,9 @@ Creation matching checks that the compiled creation code is a prefix of the
 deployment transaction input and, on the hardened path, that the remainder
 decodes as the declared constructor arguments.  Runtime matching normalizes
 deployment-time variance (immutables, library addresses, metadata) and then
-compares bytes.  grade() folds the two artifact reports into Exact, Partial,
-or NoMatch according to the platform's requirement.
+compares bytes.  Each comparison leg returns the report of a match or raises
+a VerifierError; grade() turns the two legs into Exact or Partial, or
+raises, according to the platform's requirement.
 
 Exact means byte equality including metadata on every matched artifact;
 Partial means equality only after metadata stripping.
@@ -23,15 +24,13 @@ from .errors import (
     AbiDecodeError,
     EmptyLocalBytecodeError,
     InvalidConstructorArgumentsError,
-    LengthMismatchError,
-    MissingComparisonError,
+    NoMatchError,
     NotAPrefixError,
+    VerifierError,
 )
 from .linker import LibraryBinding, PlaceholderMode, declared_placeholders, resolve
 from .metadata import MetadataSpan, scan_metadata, strip_spans
 from .simulator import (
-    DEFAULT_ENV,
-    ExecutionEnv,
     ImmutableStrategy,
     backfill_immutables_from_chain,
     resolve_immutables_by_simulation,
@@ -69,17 +68,19 @@ class MatchPolicy:
 
 @dataclass
 class ArtifactReport:
+    """What one comparison leg matched, and how."""
+
     artifact: str  # "creation" | "runtime"
-    compared: bool = False
-    matched: bool = False
     exact_eligible: bool = False
-    equal_after_normalization: bool = False
     stripped_spans: list[MetadataSpan] = field(default_factory=list)
     placeholder_bindings: list[LibraryBinding] = field(default_factory=list)
     immutable_audit: list[str] = field(default_factory=list)
     ctor_args_decoded: list | None = None
-    first_mismatch: int | None = None
-    failure_reason: str | None = None
+
+
+# A comparison leg: the report of its match, the error it raised, or None
+# when it did not run.
+Leg = ArtifactReport | VerifierError | None
 
 
 @dataclass
@@ -87,7 +88,6 @@ class MatchResult:
     grade: Grade
     creation_report: ArtifactReport | None
     runtime_report: ArtifactReport | None
-    failure_reason: str | None = None
 
 
 def match_creation(
@@ -105,7 +105,7 @@ def match_creation(
     report.  local_spans overrides the pattern scan (the differential labeler
     path).
     """
-    report = ArtifactReport(artifact="creation", compared=True)
+    report = ArtifactReport(artifact="creation")
     if not local:
         if not policy.allow_empty_prefix:
             raise EmptyLocalBytecodeError(
@@ -143,9 +143,6 @@ def match_creation(
                 remainder, ctor_params or [])
         except AbiDecodeError as exc:
             raise InvalidConstructorArgumentsError(str(exc)) from exc
-
-    report.matched = True
-    report.equal_after_normalization = True
     return report
 
 
@@ -154,9 +151,7 @@ def match_runtime(
     onchain: bytes,
     strategy: ImmutableStrategy,
     *,
-    creation: bytes | None = None,
     ctor_args: bytes = b"",
-    env: ExecutionEnv = DEFAULT_ENV,
     trust_simulated_return: bool = False,
     placeholder_mode: PlaceholderMode = PlaceholderMode.OFFSET_LITERAL,
     labeler: MetadataLabeler = MetadataLabeler.PATTERN_SCAN,
@@ -166,19 +161,19 @@ def match_runtime(
 
     Pipeline: fill immutable regions (simulation or chain backfill), bind
     library placeholders from on-chain bytes, locate metadata on both sides,
-    and compare before/after stripping.  Sub-stage errors (simulation faults,
-    length mismatches, foreign return data) propagate to the caller.
+    and compare before/after stripping.  Code that still differs raises
+    NoMatchError with the first mismatching offset; sub-stage errors
+    (simulation faults, length mismatches, foreign return data) propagate.
     """
-    report = ArtifactReport(artifact="runtime", compared=True)
+    report = ArtifactReport(artifact="runtime")
     local = output.runtime_template
 
     if strategy is ImmutableStrategy.SIM_GUARDED:
         # always simulate: with no declared regions the return must equal the
         # template byte for byte, which is what closes R2's foreign-return gap
         local = resolve_immutables_by_simulation(
-            local, output.immutable_refs,
-            output.creation_code if creation is None else creation,
-            ctor_args, env, trust_simulated_return=trust_simulated_return)
+            local, output.immutable_refs, output.creation_code, ctor_args,
+            trust_simulated_return=trust_simulated_return)
     elif output.immutable_refs:
         local = backfill_immutables_from_chain(local, output.immutable_refs, onchain)
         for ref in output.immutable_refs:
@@ -187,10 +182,6 @@ def match_runtime(
 
     link_spans = declared_placeholders(output)
     if link_spans:
-        if len(local) != len(onchain):
-            raise LengthMismatchError(
-                f"cannot bind libraries: local is {len(local)} bytes, "
-                f"on-chain is {len(onchain)}")
         local, bindings = resolve(local, onchain, link_spans, placeholder_mode)
         report.placeholder_bindings = bindings
         for binding in bindings:
@@ -200,8 +191,6 @@ def match_runtime(
 
     report.exact_eligible = local == onchain
     if report.exact_eligible:
-        report.matched = True
-        report.equal_after_normalization = True
         return report
 
     if labeler is MetadataLabeler.DIFFERENTIAL:
@@ -210,75 +199,55 @@ def match_runtime(
         local_spans = differential_spans
         onchain_spans = differential_spans  # applied symmetrically
         if any(s.end > len(onchain) for s in onchain_spans):
-            report.failure_reason = (
-                "differential spans fall outside the on-chain code")
-            report.first_mismatch = first_mismatch(local, onchain)
-            return report
+            raise NoMatchError(
+                "differential spans fall outside the on-chain code",
+                first_mismatch=first_mismatch(local, onchain))
     else:
         local_spans = scan_metadata(local)
         onchain_spans = scan_metadata(onchain)
         if [(s.start, s.end) for s in local_spans] != \
                 [(s.start, s.end) for s in onchain_spans]:
-            report.failure_reason = (
-                "metadata span layouts differ between local and on-chain code")
-            report.first_mismatch = first_mismatch(local, onchain)
-            return report
+            raise NoMatchError(
+                "metadata span layouts differ between local and on-chain code",
+                first_mismatch=first_mismatch(local, onchain))
 
     report.stripped_spans = list(local_spans)
     stripped_local = strip_spans(local, local_spans)
     stripped_onchain = strip_spans(onchain, onchain_spans)
-    if stripped_local == stripped_onchain:
-        report.matched = True
-        report.equal_after_normalization = True
-    else:
-        report.first_mismatch = first_mismatch(stripped_local, stripped_onchain)
-        report.failure_reason = (
-            f"code differs outside metadata (first mismatch at "
-            f"{report.first_mismatch} after stripping)")
+    if stripped_local != stripped_onchain:
+        index = first_mismatch(stripped_local, stripped_onchain)
+        raise NoMatchError(
+            f"code differs outside metadata (first mismatch at {index} after "
+            f"stripping)", first_mismatch=index)
     return report
 
 
-def grade(
-    creation_report: ArtifactReport | None,
-    runtime_report: ArtifactReport | None,
-    policy: MatchPolicy,
-) -> MatchResult:
-    """Fold artifact reports into a verdict under the platform requirement."""
+def grade(creation: Leg, runtime: Leg, policy: MatchPolicy) -> MatchResult:
+    """Turn the two comparison legs into a verdict, or raise.
+
+    The requirement picks the legs that count: CREATION_ONLY ignores the
+    runtime leg.  BOTH and CREATION_ONLY raise the first failed leg, and
+    refuse when a leg they need did not run.  EITHER raises NoMatchError,
+    carrying every failed leg as causes, only when no leg matched.  The
+    grade is Exact when every matched leg is exact-eligible, else Partial.
+    """
     requirement = policy.requirement
-
-    def result(g: Grade, reason: str | None = None) -> MatchResult:
-        return MatchResult(g, creation_report, runtime_report, reason)
-
-    if requirement is Requirement.CREATION_ONLY:
-        if creation_report is None or not creation_report.compared:
-            raise MissingComparisonError("creation comparison is required")
-        if not creation_report.matched:
-            return result(Grade.NO_MATCH, creation_report.failure_reason)
-        return result(Grade.EXACT if creation_report.exact_eligible
-                      else Grade.PARTIAL)
-
-    compared = [r for r in (creation_report, runtime_report)
-                if r is not None and r.compared]
-    if requirement is Requirement.BOTH:
-        if len(compared) < 2:
-            raise MissingComparisonError(
-                "both creation and runtime comparisons are required")
-        if not all(r.matched for r in compared):
-            failed = next(r for r in compared if not r.matched)
-            return result(Grade.NO_MATCH, failed.failure_reason
-                          or f"{failed.artifact} comparison failed")
-        matched = compared
-    else:  # EITHER: artifacts that errored out are excluded upstream
-        if not compared:
-            raise MissingComparisonError(
-                "at least one artifact comparison is required")
-        matched = [r for r in compared if r.matched]
-        if not matched:
-            reasons = "; ".join(
-                r.failure_reason or f"{r.artifact} comparison failed"
-                for r in compared)
-            return result(Grade.NO_MATCH, reasons)
-
-    if all(r.exact_eligible for r in matched):
-        return result(Grade.EXACT)
-    return result(Grade.PARTIAL)
+    legs = (creation,) if requirement is Requirement.CREATION_ONLY \
+        else (creation, runtime)
+    matched = [leg for leg in legs if isinstance(leg, ArtifactReport)]
+    failed = [leg for leg in legs if isinstance(leg, VerifierError)]
+    if requirement is not Requirement.EITHER:
+        if failed:
+            raise failed[0]
+        if len(matched) < len(legs):
+            raise NoMatchError(
+                f"{requirement.value} needs a comparison leg that did not run")
+    elif not matched:
+        raise NoMatchError(
+            "no comparison leg matched: " +
+            ("; ".join(str(exc) for exc in failed) or "none ran"),
+            causes=failed)
+    return MatchResult(
+        Grade.EXACT if all(r.exact_eligible for r in matched) else Grade.PARTIAL,
+        creation if isinstance(creation, ArtifactReport) else None,
+        runtime if isinstance(runtime, ArtifactReport) else None)

@@ -23,7 +23,6 @@ from .errors import (
     ImportRefusedError,
     MalformedRequestError,
     NoDonorError,
-    NoMatchError,
     NotFoundError,
     PathEscapeError,
     ReplacementDeniedError,
@@ -241,30 +240,6 @@ def _attempt(step, *args, **kwargs):
         return exc
 
 
-def _fold_legs(policy: MatchPolicy, creation, runtime) -> MatchResult:
-    """Grade the two legs under policy.requirement, or raise.
-
-    Each leg is an ArtifactReport, the VerifierError it hit, or None when
-    it did not run.  BOTH and CREATION_ONLY raise the first error; EITHER
-    raises only when both legs failed.
-    """
-    legs = (creation, runtime)
-    errors = [leg for leg in legs if isinstance(leg, VerifierError)]
-    if policy.requirement is not Requirement.EITHER:
-        if errors:
-            raise errors[0]
-    elif len(errors) == 2:
-        raise NoMatchError(
-            "both comparison legs failed: " +
-            "; ".join(str(c) for c in errors), causes=errors)
-    result = grade(*(None if isinstance(leg, VerifierError) else leg
-                     for leg in legs), policy)
-    if result.grade is Grade.NO_MATCH:
-        raise NoMatchError(result.failure_reason or "bytecode mismatch",
-                           result=result, causes=errors)
-    return result
-
-
 class VerifyService:
     """One verifier instance: a config, a compiler, a chain, a store.
 
@@ -385,7 +360,7 @@ class VerifyService:
                 labeler=cfg.metadata_labeler,
                 differential_spans=runtime_spans)
 
-        result = _fold_legs(cfg.policy, creation, runtime)
+        result = grade(creation, runtime, cfg.policy)
         if isinstance(onchain, VerifierError):
             raise onchain
         # hashed only now, so a refused submit hashes nothing; the chain

@@ -124,10 +124,10 @@ def test_criterion_3_prefix_guards_and_ctor_args_oracle():
     naive = MatchPolicy(Requirement.EITHER, allow_empty_prefix=True,
                         validate_ctor_args=False)
 
-    assert match_creation(b"", tx, None, naive).matched
+    assert match_creation(b"", tx, None, naive).exact_eligible
     with pytest.raises(EmptyLocalBytecodeError):
         match_creation(b"", tx, None, MatchPolicy.hardened())
-    assert match_creation(tx[:10], tx, None, naive).matched
+    assert match_creation(tx[:10], tx, None, naive).exact_eligible
     with pytest.raises(InvalidConstructorArgumentsError):
         match_creation(tx[:10], tx, None, MatchPolicy.hardened())
 
@@ -159,9 +159,8 @@ def test_criterion_3_prefix_guards_and_ctor_args_oracle():
             blob = b"\xff" * 31  # not a word multiple
         params = parse_params(types)
         try:
-            report = match_creation(local, local + blob, params,
-                                    MatchPolicy.hardened())
-            accepted = report.matched
+            match_creation(local, local + blob, params, MatchPolicy.hardened())
+            accepted = True
         except InvalidConstructorArgumentsError:
             accepted = False
         assert accepted == expect_valid, (case, types, blob.hex())

@@ -3,6 +3,8 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpus import build_r1_corpus
 from oracles import r1_candidate_oracle
@@ -232,6 +234,18 @@ class TestScanConfig:
             for rid in SCENARIOS:
                 if EXPECTED_MATRIX[(rid, name)][0] == "exploited":
                     assert rid in risks, (name, rid)
+
+    @settings(max_examples=100, deadline=None)
+    @example(frozenset({"immutable_strategy", "trust_simulated_return"}))
+    @given(st.frozensets(st.sampled_from(sorted(TOGGLE_RISKS))))
+    def test_scan_agrees_with_lab_on_flip_subsets(self, flips):
+        config = HARDENED
+        for field_name in sorted(flips):
+            config = flip_field(config, field_name)
+        exploited = {rid for rid in SCENARIOS if run_poc(rid, config).exploited}
+        reported = {rid for flag, rid, _ in scan_config(config)
+                    if flag != "partial-matching"}
+        assert exploited == reported, sorted(flips)
 
 
 class TestCandidateFilter:

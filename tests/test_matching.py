@@ -11,8 +11,10 @@ from srcverify.errors import (
     ForeignReturnDataError,
     InvalidConstructorArgumentsError,
     LengthMismatchError,
-    MissingComparisonError,
+    NoMatchError,
     NotAPrefixError,
+    NotFoundError,
+    VerifierError,
 )
 from srcverify.linker import PlaceholderForm, PlaceholderSpan
 from srcverify.matching import (
@@ -52,12 +54,11 @@ class TestMatchCreation:
         local = BODY
         tx = local + word(1)
         report = match_creation(local, tx, parse_params(["uint256"]), HARDENED)
-        assert report.matched and report.exact_eligible
+        assert report.exact_eligible
         assert report.ctor_args_decoded == [1]
 
     def test_exact_no_arguments(self):
         report = match_creation(BODY, BODY, [], HARDENED)
-        assert report.matched
         assert report.ctor_args_decoded == []
 
     def test_empty_local_hardened_rejected(self):
@@ -66,7 +67,6 @@ class TestMatchCreation:
 
     def test_empty_local_naive_accepted(self):
         report = match_creation(b"", BODY + b"junk", None, NAIVE)
-        assert report.matched
         assert report.ctor_args_decoded is None
 
     def test_empty_local_with_validation_still_fails_on_remainder(self):
@@ -85,7 +85,7 @@ class TestMatchCreation:
     def test_junk_remainder_accepted_when_validation_off(self):
         policy = MatchPolicy(Requirement.EITHER, validate_ctor_args=False)
         report = match_creation(BODY, BODY + bytes(31), None, policy)
-        assert report.matched
+        assert report.ctor_args_decoded is None
 
     def test_remainder_with_undeclared_params_rejected(self):
         with pytest.raises(InvalidConstructorArgumentsError):
@@ -108,7 +108,6 @@ class TestMatchCreation:
         onchain_creation = make_creation_code(BODY + BLOCK_B)
         tx = onchain_creation + word(7)
         report = match_creation(local, tx, parse_params(["uint256"]), HARDENED)
-        assert report.matched
         assert not report.exact_eligible
         assert report.stripped_spans
         assert report.ctor_args_decoded == [7]
@@ -143,33 +142,38 @@ class TestMatchRuntime:
         runtime = BODY + BLOCK_A
         report = match_runtime(simple_output(runtime), runtime,
                                ImmutableStrategy.SIM_GUARDED)
-        assert report.matched and report.exact_eligible
+        assert report.exact_eligible
 
     def test_metadata_hash_difference_is_partial_eligible(self):
         report = match_runtime(simple_output(BODY + BLOCK_A), BODY + BLOCK_B,
                                ImmutableStrategy.SIM_GUARDED)
-        assert report.matched
         assert not report.exact_eligible
-        assert report.equal_after_normalization
         assert [(s.start, s.end) for s in report.stripped_spans] == \
             [(len(BODY), len(BODY) + 53)]
 
     def test_difference_outside_spans_reports_first_mismatch(self):
         onchain = bytearray(BODY + BLOCK_A)
         onchain[3] ^= 0xFF
-        report = match_runtime(simple_output(BODY + BLOCK_A), bytes(onchain),
-                               ImmutableStrategy.SIM_GUARDED)
-        assert not report.matched
-        assert report.first_mismatch == 3
-        assert report.failure_reason
+        with pytest.raises(NoMatchError, match="outside metadata") as excinfo:
+            match_runtime(simple_output(BODY + BLOCK_A), bytes(onchain),
+                          ImmutableStrategy.SIM_GUARDED)
+        assert excinfo.value.first_mismatch == 3
 
     def test_span_layout_mismatch_is_no_match(self):
         # on-chain side carries no metadata block at all
-        report = match_runtime(simple_output(BODY + BLOCK_A),
-                               BODY + bytes(53),
-                               ImmutableStrategy.SIM_GUARDED)
-        assert not report.matched
-        assert "layouts differ" in report.failure_reason
+        with pytest.raises(NoMatchError, match="layouts differ") as excinfo:
+            match_runtime(simple_output(BODY + BLOCK_A), BODY + bytes(53),
+                          ImmutableStrategy.SIM_GUARDED)
+        assert excinfo.value.first_mismatch == len(BODY)
+
+    def test_differential_spans_past_the_end_are_no_match(self):
+        span = MetadataSpan(len(BODY), len(BODY) + 8, MetadataKind.EMBEDDED,
+                            SpanSource.DIFFERENTIAL)
+        with pytest.raises(NoMatchError, match="outside the on-chain code"):
+            match_runtime(simple_output(BODY + bytes(8)), BODY + b"\x01",
+                          ImmutableStrategy.CHAIN_BACKFILL,
+                          labeler=MetadataLabeler.DIFFERENTIAL,
+                          differential_spans=[span])
 
     def test_simulation_guard_rejects_foreign_return(self):
         victim_runtime = bytes.fromhex("11" * 40)
@@ -187,7 +191,7 @@ class TestMatchRuntime:
         report = match_runtime(output, victim_runtime,
                                ImmutableStrategy.SIM_GUARDED,
                                trust_simulated_return=True)
-        assert report.matched and report.exact_eligible
+        assert report.exact_eligible
 
     def test_immutable_filled_by_simulation(self):
         # constructor computes 20**23 into a 32-byte region (exp fixture)
@@ -205,7 +209,7 @@ class TestMatchRuntime:
                                    immutable_refs=[ref])
         report = match_runtime(output, bytes(onchain),
                                ImmutableStrategy.SIM_GUARDED)
-        assert report.matched and report.exact_eligible
+        assert report.exact_eligible
         assert report.immutable_audit == []
 
     def test_chain_backfill_audits_regions(self):
@@ -216,7 +220,7 @@ class TestMatchRuntime:
             runtime_template=template,
             immutable_refs=[ImmutableRef(len(BODY), 20, "owner")])
         report = match_runtime(output, onchain, ImmutableStrategy.CHAIN_BACKFILL)
-        assert report.matched and report.exact_eligible
+        assert report.exact_eligible
         assert report.immutable_audit == ["unverified-immutable:owner"]
 
     def test_placeholder_bound_from_onchain(self):
@@ -228,7 +232,7 @@ class TestMatchRuntime:
             creation_code=make_creation_code(template),
             runtime_template=template, link_refs=[span])
         report = match_runtime(output, onchain, ImmutableStrategy.CHAIN_BACKFILL)
-        assert report.matched and report.exact_eligible
+        assert report.exact_eligible
         assert len(report.placeholder_bindings) == 1
         assert report.placeholder_bindings[0].address == bytes.fromhex("cd" * 20)
         assert report.immutable_audit == []
@@ -241,7 +245,6 @@ class TestMatchRuntime:
             creation_code=make_creation_code(template),
             runtime_template=template, link_refs=[span])
         report = match_runtime(output, template, ImmutableStrategy.CHAIN_BACKFILL)
-        assert report.matched
         assert report.immutable_audit == ["unset-library:Math"]
 
     def test_link_spans_need_equal_lengths(self):
@@ -264,7 +267,6 @@ class TestMatchRuntime:
         report = match_runtime(output, onchain, ImmutableStrategy.CHAIN_BACKFILL,
                                labeler=MetadataLabeler.DIFFERENTIAL,
                                differential_spans=[bogus])
-        assert report.matched
         assert not report.exact_eligible
 
     def test_differential_requires_spans(self):
@@ -279,63 +281,158 @@ class TestMatchRuntime:
         runtime = body + make_metadata_block(keccak256(body))
         report = match_runtime(simple_output(runtime), runtime,
                                ImmutableStrategy.SIM_GUARDED)
-        assert report.matched and report.exact_eligible
+        assert report.exact_eligible
 
 
-def rep(artifact, matched=True, exact=True, compared=True):
-    return ArtifactReport(artifact=artifact, compared=compared, matched=matched,
-                          exact_eligible=exact and matched,
-                          equal_after_normalization=matched,
-                          failure_reason=None if matched else f"{artifact} differs")
+# Leg outcomes in table order; "-" is a leg that did not run.
+CREATION_LEGS = ("exact", "partial", "NotAPrefix", "NotFound", "-")
+RUNTIME_LEGS = ("exact", "partial", "NoMatch", "ForeignReturnData", "-")
+
+# One row per creation leg, one column per runtime leg.  A cell is the grade,
+# "creation!" or "runtime!" when that leg's own error is re-raised, or a
+# fresh NoMatchError with the classes of its causes in brackets.
+VERDICTS = {
+    Requirement.BOTH: """
+        EXACT      PARTIAL    runtime!   runtime!   NoMatch[]
+        PARTIAL    PARTIAL    runtime!   runtime!   NoMatch[]
+        creation!  creation!  creation!  creation!  creation!
+        creation!  creation!  creation!  creation!  creation!
+        NoMatch[]  NoMatch[]  runtime!   runtime!   NoMatch[]
+    """,
+    # rows wrap after the fourth column
+    Requirement.EITHER: """
+        EXACT    PARTIAL  EXACT                        EXACT
+                          EXACT
+        PARTIAL  PARTIAL  PARTIAL                      PARTIAL
+                          PARTIAL
+        EXACT    PARTIAL  NoMatch[NotAPrefix,NoMatch]  NoMatch[NotAPrefix,ForeignReturnData]
+                          NoMatch[NotAPrefix]
+        EXACT    PARTIAL  NoMatch[NotFound,NoMatch]    NoMatch[NotFound,ForeignReturnData]
+                          NoMatch[NotFound]
+        EXACT    PARTIAL  NoMatch[NoMatch]             NoMatch[ForeignReturnData]
+                          NoMatch[]
+    """,
+    # the runtime leg never counts; the service does not even run it
+    Requirement.CREATION_ONLY: """
+        EXACT      EXACT      EXACT      EXACT      EXACT
+        PARTIAL    PARTIAL    PARTIAL    PARTIAL    PARTIAL
+        creation!  creation!  creation!  creation!  creation!
+        creation!  creation!  creation!  creation!  creation!
+        NoMatch[]  NoMatch[]  NoMatch[]  NoMatch[]  NoMatch[]
+    """,
+}
+
+LEG_ERRORS = {"NotAPrefix": NotAPrefixError, "NotFound": NotFoundError,
+              "NoMatch": NoMatchError, "ForeignReturnData": ForeignReturnDataError}
+
+
+def make_leg(artifact: str, outcome: str):
+    if outcome == "-":
+        return None
+    if outcome in LEG_ERRORS:
+        return LEG_ERRORS[outcome](f"{artifact} leg: {outcome}")
+    return matched(artifact, exact=outcome == "exact")
+
+
+def verdict_cases():
+    for requirement, table in VERDICTS.items():
+        cells = iter(table.split())
+        for creation in CREATION_LEGS:
+            for runtime in RUNTIME_LEGS:
+                yield pytest.param(requirement, creation, runtime, next(cells),
+                                   id=f"{requirement.name}-{creation}-{runtime}")
+        assert next(cells, None) is None, requirement
+
+
+def matched(artifact: str, exact: bool = True) -> ArtifactReport:
+    return ArtifactReport(artifact, exact_eligible=exact)
+
+
+BOTH = MatchPolicy(Requirement.BOTH)
+EITHER = MatchPolicy(Requirement.EITHER)
+CREATION_ONLY = MatchPolicy(Requirement.CREATION_ONLY)
+
+
+def class_name(exc: Exception) -> str:
+    return type(exc).__name__.removesuffix("Error")
 
 
 class TestGrade:
+    @pytest.mark.parametrize("requirement,creation,runtime,verdict",
+                             list(verdict_cases()))
+    def test_verdict(self, requirement, creation, runtime, verdict):
+        legs = {"creation": make_leg("creation", creation),
+                "runtime": make_leg("runtime", runtime)}
+        policy = MatchPolicy(requirement)
+        if verdict in ("EXACT", "PARTIAL"):
+            result = grade(legs["creation"], legs["runtime"], policy)
+            assert result.grade is Grade[verdict]
+            for artifact, report in (("creation", result.creation_report),
+                                     ("runtime", result.runtime_report)):
+                leg = legs[artifact]
+                assert report is (leg if isinstance(leg, ArtifactReport)
+                                  else None)
+            return
+        with pytest.raises(VerifierError) as excinfo:
+            grade(legs["creation"], legs["runtime"], policy)
+        raised = excinfo.value
+        if verdict.endswith("!"):
+            assert raised is legs[verdict[:-1]]
+            return
+        assert type(raised) is NoMatchError
+        causes = verdict.removeprefix("NoMatch[").removesuffix("]")
+        assert [class_name(c) for c in raised.causes] == \
+            [name for name in causes.split(",") if name]
+        assert all(c in legs.values() for c in raised.causes)
+
     def test_both_exact(self):
-        result = grade(rep("creation"), rep("runtime"),
-                       MatchPolicy(Requirement.BOTH))
+        result = grade(matched("creation"), matched("runtime"), BOTH)
         assert result.grade is Grade.EXACT
 
     def test_both_one_partial(self):
-        result = grade(rep("creation"), rep("runtime", exact=False),
-                       MatchPolicy(Requirement.BOTH))
+        result = grade(matched("creation"), matched("runtime", exact=False), BOTH)
         assert result.grade is Grade.PARTIAL
 
     def test_both_one_failed(self):
-        result = grade(rep("creation"), rep("runtime", matched=False),
-                       MatchPolicy(Requirement.BOTH))
-        assert result.grade is Grade.NO_MATCH
-        assert "runtime" in result.failure_reason
+        runtime = NoMatchError("runtime differs")
+        with pytest.raises(NoMatchError) as excinfo:
+            grade(matched("creation"), runtime, BOTH)
+        assert excinfo.value is runtime
 
     def test_both_missing_runtime(self):
-        with pytest.raises(MissingComparisonError):
-            grade(rep("creation"), None, MatchPolicy(Requirement.BOTH))
+        with pytest.raises(NoMatchError, match="did not run"):
+            grade(matched("creation"), None, BOTH)
 
     def test_either_runtime_partial_creation_absent(self):
-        result = grade(None, rep("runtime", exact=False),
-                       MatchPolicy(Requirement.EITHER))
-        assert result.grade is Grade.PARTIAL
+        for creation in (None, NotFoundError("no creation transaction")):
+            result = grade(creation, matched("runtime", exact=False), EITHER)
+            assert result.grade is Grade.PARTIAL
+            assert result.creation_report is None
 
     def test_either_one_match_suffices(self):
-        result = grade(rep("creation"), rep("runtime", matched=False),
-                       MatchPolicy(Requirement.EITHER))
+        result = grade(matched("creation"), NoMatchError("runtime differs"),
+                       EITHER)
         assert result.grade is Grade.EXACT
 
     def test_either_none_matched(self):
-        result = grade(rep("creation", matched=False),
-                       rep("runtime", matched=False),
-                       MatchPolicy(Requirement.EITHER))
-        assert result.grade is Grade.NO_MATCH
+        legs = (NotAPrefixError("creation differs"),
+                NoMatchError("runtime differs"))
+        with pytest.raises(NoMatchError) as excinfo:
+            grade(*legs, EITHER)
+        assert excinfo.value.causes == legs
+        assert "creation differs" in str(excinfo.value)
+        assert "runtime differs" in str(excinfo.value)
 
     def test_either_nothing_compared(self):
-        with pytest.raises(MissingComparisonError):
-            grade(None, None, MatchPolicy(Requirement.EITHER))
+        with pytest.raises(NoMatchError) as excinfo:
+            grade(None, None, EITHER)
+        assert excinfo.value.causes == ()
 
     def test_creation_only_ignores_runtime(self):
-        result = grade(rep("creation", exact=False),
-                       rep("runtime", matched=False),
-                       MatchPolicy(Requirement.CREATION_ONLY))
+        result = grade(matched("creation", exact=False),
+                       NoMatchError("runtime differs"), CREATION_ONLY)
         assert result.grade is Grade.PARTIAL
 
     def test_creation_only_requires_creation(self):
-        with pytest.raises(MissingComparisonError):
-            grade(None, rep("runtime"), MatchPolicy(Requirement.CREATION_ONLY))
+        with pytest.raises(NoMatchError, match="did not run"):
+            grade(None, matched("runtime"), CREATION_ONLY)

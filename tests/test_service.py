@@ -249,9 +249,9 @@ class TestSubmitVerification:
                   deployed_creation=make_creation_code(bytes(deployed)))
         with pytest.raises(NoMatchError) as excinfo:
             w.service.submit_verification(w.request)
-        result = excinfo.value.result
-        assert result is not None
-        assert result.runtime_report.first_mismatch == 3
+        runtime_leg, = [c for c in excinfo.value.causes
+                        if isinstance(c, NoMatchError)]
+        assert runtime_leg.first_mismatch == 3
         assert not w.store.has(w.address)
 
     def test_target_path_remapped_with_sources(self, tmp_path):
