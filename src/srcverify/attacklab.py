@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import tempfile
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from hashlib import sha256
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
@@ -48,7 +47,7 @@ from .errors import (
     VerifierError,
 )
 from .linker import PlaceholderForm, PlaceholderMode, PlaceholderSpan
-from .matching import MetadataLabeler
+from .matching import MetadataLabeler, Requirement
 from .metadata import (
     INJECTED_FILENAME,
     LEGACY_BLOCK_LENGTH,
@@ -60,6 +59,7 @@ from .service import (
     HARDENED,
     NAIVE_SOURCIFY_LIKE,
     PROFILES,
+    UNVERIFIED_LIBRARY_WARNING,
     VerifierConfig,
     VerifyService,
     get_profile,
@@ -70,7 +70,6 @@ from .store import RecordStore
 COMPETITIVE_VERIFICATION = "competitive-verification"
 SOURCE_SCAM = "source-scam"
 
-UNVERIFIED_LIBRARY_GUARD = "unverified-library"
 DISCLOSURE_GUARD = "FullyQualifiedDisclosure"
 
 
@@ -351,10 +350,10 @@ def _run_r5(config, root, export):
         return ExploitOutcome("R5", config.name, False, _guard_names(exc),
                               f"submission rejected outright: {exc}")
     flagged = [w for w in record.warnings
-               if w.startswith(UNVERIFIED_LIBRARY_GUARD)]
+               if w.startswith(UNVERIFIED_LIBRARY_WARNING)]
     if flagged:
         return ExploitOutcome(
-            "R5", config.name, False, (UNVERIFIED_LIBRARY_GUARD,),
+            "R5", config.name, False, (UNVERIFIED_LIBRARY_WARNING,),
             f"record stored but the binding is called out: {flagged[0]}")
     return ExploitOutcome(
         "R5", config.name, True, (),
@@ -682,7 +681,7 @@ EXPECTED_MATRIX: dict[tuple[str, str], tuple[str, str | None]] = {
     ("R5", _E): ("exploited", None),
     ("R5", _S): ("exploited", None),
     ("R5", _B): ("exploited", None),
-    ("R5", _H): ("blocked", UNVERIFIED_LIBRARY_GUARD),
+    ("R5", _H): ("blocked", UNVERIFIED_LIBRARY_WARNING),
     ("R6", _E): ("blocked", "NotAPrefix"),
     ("R6", _S): ("exploited", None),
     ("R6", _B): ("exploited", None),
@@ -736,31 +735,29 @@ class Guard(NamedTuple):
     requires: Mapping[str, object] = {}
 
 
-# Keyed by config field, dotted for policy sub-fields, in scan_config's order.
+# Keyed by config field, in scan_config's order.
 GUARDS: dict[str, Guard] = {
     "inherit_flagged_donors": Guard(
         "R1", True,
         "runtime-hash inheritance accepts donors whose match came from "
         "hand-written assembly, auto-labeling every identical deployment",
-        requires={"inherit_identical_runtime": True}, canonical=True),
+        canonical=True),
     "trust_simulated_return": Guard(
         "R2", True,
         "simulated constructor return is compared against the chain "
         "without checking it against the compiled template",
-        requires={"immutable_strategy": ImmutableStrategy.SIM_GUARDED},
+        requires={"immutable_strategy": ImmutableStrategy.SIM_GUARDED,
+                  "requirement": Requirement.EITHER},
         canonical=True),
     "accept_imported_records": Guard(
         "R2", True,
         "records imported from another instance are adopted wholesale, "
         "extending any upstream exploit"),
-    "policy.allow_empty_prefix": Guard(
-        "R3", True,
-        "zero local bytes prefix-match any creation transaction",
-        canonical=True),
-    "policy.validate_ctor_args": Guard(
+    "strict_creation_prefix": Guard(
         "R3", False,
-        "trailing creation-tx bytes pass unchecked as constructor "
-        "arguments"),
+        "zero local bytes prefix-match any creation transaction, and "
+        "trailing bytes pass unchecked as constructor arguments",
+        canonical=True),
     "recheck_code_hash_on_read": Guard(
         "R4", False,
         "queries serve stored sources without comparing the live code "
@@ -769,10 +766,15 @@ GUARDS: dict[str, Guard] = {
         "R5", False,
         "library bindings to never-verified addresses are stored "
         "without a warning", canonical=True),
+    "requirement": Guard(
+        "R5", Requirement.CREATION_ONLY,
+        "the runtime leg never runs, so library bindings in the live code "
+        "go unchecked"),
     "placeholder_mode": Guard(
         "R6", PlaceholderMode.REGEX_NAIVE,
         "placeholder text is compiled as an unescaped regex, so crafted "
-        "link names rewrite code sites beyond the declared span"),
+        "link names rewrite code sites beyond the declared span",
+        requires={"requirement": Requirement.EITHER}),
     "metadata_labeler": Guard(
         "R6", MetadataLabeler.DIFFERENTIAL,
         "differential span expansion anchors on a bare block-head byte "
@@ -786,16 +788,14 @@ GUARDS: dict[str, Guard] = {
         "views show bare contract names and basenames, which collide "
         "when two files declare the same name", canonical=True),
     "immutable_strategy": Guard(None, ImmutableStrategy.CHAIN_BACKFILL),
-    "inherit_identical_runtime": Guard(None, False),
     "allow_record_replacement": Guard(None, False),
 }
 
 TOGGLE_RISKS: dict[str, str | None] = {
-    path.partition(".")[0]: guard.scenario for path, guard in GUARDS.items()}
+    name: guard.scenario for name, guard in GUARDS.items()}
 
 CANONICAL_TOGGLE: dict[str, str] = {
-    guard.scenario: path.partition(".")[0]
-    for path, guard in GUARDS.items() if guard.canonical}
+    guard.scenario: name for name, guard in GUARDS.items() if guard.canonical}
 
 _RESIDUAL_NOTE = (
     "partial-matching", "R1",
@@ -804,33 +804,20 @@ _RESIDUAL_NOTE = (
     "refusal) rather than eliminating it")
 
 
-def _value(config: VerifierConfig, path: str):
-    return reduce(getattr, path.split("."), config)
-
-
 def scan_config(config: VerifierConfig) -> list[tuple[str, str, str]]:
     """Map enabled unsafe toggles to the vulnerability class each reproduces."""
     return [_RESIDUAL_NOTE] + [
-        (path, guard.scenario, guard.note) for path, guard in GUARDS.items()
-        if guard.scenario is not None and _value(config, path) == guard.naive
-        and all(_value(config, other) == value
+        (name, guard.scenario, guard.note) for name, guard in GUARDS.items()
+        if guard.scenario is not None and getattr(config, name) == guard.naive
+        and all(getattr(config, other) == value
                 for other, value in guard.requires.items())]
-
-
-def _naive_value(field_name: str):
-    if field_name in GUARDS:
-        return GUARDS[field_name].naive
-    # a field guarded through its sub-fields is naive in all of them at once
-    return replace(getattr(HARDENED, field_name), **{
-        path.partition(".")[2]: guard.naive for path, guard in GUARDS.items()
-        if path.partition(".")[0] == field_name})
 
 
 def flip_field(config: VerifierConfig, field_name: str) -> VerifierConfig:
     """Toggle one config field between its hardened and naive setting."""
-    if field_name not in TOGGLE_RISKS:
+    if field_name not in GUARDS:
         raise ValueError(f"{field_name!r} is not a tunable config field")
-    naive = _naive_value(field_name)
+    naive = GUARDS[field_name].naive
     flipped = (getattr(HARDENED, field_name)
                if getattr(config, field_name) == naive else naive)
     return replace(config, **{field_name: flipped})

@@ -246,7 +246,6 @@ class ExternalCompiler(CompilerInterface):
                     lib_name=item["libName"],
                     form=(PlaceholderForm.LEGACY if item.get("form") == "legacy"
                           else PlaceholderForm.HASH),
-                    declared=True,
                 )
                 for item in payload.get("linkReferences", [])
             ]

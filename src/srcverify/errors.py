@@ -163,7 +163,7 @@ class NoMatchError(VerifierError):
     """Verification failed.
 
     A runtime leg that compared and differed sets first_mismatch, the first
-    differing offset.  When no leg of an either-leg policy matched, causes
+    differing offset.  When no leg matched under Requirement.EITHER, causes
     holds every failed leg's error, so callers can see which guards fired
     without string parsing.
     """

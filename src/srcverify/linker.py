@@ -4,11 +4,11 @@ An unlinked compilation keeps each library call site as a 20-byte zero-filled
 region plus a declared link-reference table.  The compiler's *textual* output
 renders such a site as a 40-character placeholder instead of hex: the legacy
 form "__<filePath>:<libName>____..__" (solc <= 0.4) or the hash form
-"__$<34 hex chars>$__".  Naive verifiers work at that text level — they scan
-the text for placeholder shapes and substitute via regex built from the
-placeholder itself, which is exactly the behavior resolve() reproduces in
-RegexNaive mode.  Hardened resolution (OffsetLiteral) never leaves byte
-space and touches only declared spans.
+"__$<34 hex chars>$__".  Naive verifiers work at that text level — they
+substitute via a regex built from the placeholder text itself, which is
+exactly the behavior resolve() reproduces in RegexNaive mode.  Hardened
+resolution (OffsetLiteral) never leaves byte space and touches only declared
+spans.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class PlaceholderSpan:
     file_path: str
     lib_name: str
     form: PlaceholderForm = PlaceholderForm.LEGACY
-    declared: bool = False      # True when taken from the compiler's link table
 
     @property
     def end(self) -> int:
@@ -91,40 +90,6 @@ def splice_unlinked_text(code: bytes, spans: list[PlaceholderSpan]) -> str:
     return "".join(chars)
 
 
-_HASH_FORM_RE = re.compile(r"__\$([0-9a-f]{34})\$__")
-
-
-def scan_placeholders(text: str | bytes, legacy: bool) -> list[PlaceholderSpan]:
-    """Discover placeholder-shaped regions in textual compiler output.
-
-    This is the naive path: nothing is cross-checked against a link table.
-    Reported offsets are code-byte positions (text position // 2).
-    """
-    if isinstance(text, bytes):
-        text = text.decode("latin-1")
-    spans: list[PlaceholderSpan] = []
-    if not legacy:
-        for m in _HASH_FORM_RE.finditer(text):
-            spans.append(PlaceholderSpan(
-                offset=m.start() // 2, file_path="", lib_name=m.group(1),
-                form=PlaceholderForm.HASH))
-        return spans
-    i = 0
-    limit = len(text) - PLACEHOLDER_TEXT_CHARS
-    while i <= limit:
-        window = text[i:i + PLACEHOLDER_TEXT_CHARS]
-        if window.startswith("__") and window.endswith("__") and ":" in window[2:38]:
-            inner = window[2:38].rstrip("_")
-            file_path, _, lib_name = inner.partition(":")
-            spans.append(PlaceholderSpan(
-                offset=i // 2, file_path=file_path, lib_name=lib_name,
-                form=PlaceholderForm.LEGACY))
-            i += PLACEHOLDER_TEXT_CHARS
-        else:
-            i += 1
-    return spans
-
-
 def declared_placeholders(output: "CompilationOutput") -> list[PlaceholderSpan]:
     """Validated spans from the compiler's link-reference table."""
     code_len = len(output.runtime_template)
@@ -138,8 +103,7 @@ def declared_placeholders(output: "CompilationOutput") -> list[PlaceholderSpan]:
             raise MalformedLinkReferenceError(
                 f"link reference at {span.offset} overlaps the previous one")
         last_end = span.end
-    return [PlaceholderSpan(s.offset, s.file_path, s.lib_name, s.form, declared=True)
-            for s in spans]
+    return spans
 
 
 def resolve(

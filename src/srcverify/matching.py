@@ -54,18 +54,6 @@ class Grade(Enum):
     NO_MATCH = "no-match"
 
 
-@dataclass(frozen=True)
-class MatchPolicy:
-    requirement: Requirement
-    allow_empty_prefix: bool = False  # naive R3 toggle
-    validate_ctor_args: bool = True
-
-    @classmethod
-    def hardened(cls) -> "MatchPolicy":
-        return cls(Requirement.EITHER, allow_empty_prefix=False,
-                   validate_ctor_args=True)
-
-
 @dataclass
 class ArtifactReport:
     """What one comparison leg matched, and how."""
@@ -94,10 +82,15 @@ def match_creation(
     local: bytes,
     tx_input: bytes,
     ctor_params: list[AbiParam] | None,
-    policy: MatchPolicy,
+    *,
+    strict: bool = True,
     local_spans: list[MetadataSpan] | None = None,
 ) -> ArtifactReport:
     """Prefix check plus argument validation; raises on failure.
+
+    strict refuses an empty compiled prefix and requires the remainder to
+    decode as the constructor arguments; without it, zero local bytes
+    prefix-match any transaction and trailing bytes pass unchecked.
 
     When the raw prefix differs only inside metadata spans, the comparison is
     retried with those spans stripped from the compiled code and from the
@@ -107,7 +100,7 @@ def match_creation(
     """
     report = ArtifactReport(artifact="creation")
     if not local:
-        if not policy.allow_empty_prefix:
+        if strict:
             raise EmptyLocalBytecodeError(
                 "compiled creation code is empty; an empty prefix would match "
                 "any transaction")
@@ -133,7 +126,7 @@ def match_creation(
         remainder = tx_input[len(local):]
         report.stripped_spans = list(spans)
 
-    if policy.validate_ctor_args:
+    if strict:
         if remainder and ctor_params is None:
             raise InvalidConstructorArgumentsError(
                 f"{len(remainder)} trailing bytes but the constructor "
@@ -222,7 +215,7 @@ def match_runtime(
     return report
 
 
-def grade(creation: Leg, runtime: Leg, policy: MatchPolicy) -> MatchResult:
+def grade(creation: Leg, runtime: Leg, requirement: Requirement) -> MatchResult:
     """Turn the two comparison legs into a verdict, or raise.
 
     The requirement picks the legs that count: CREATION_ONLY ignores the
@@ -231,7 +224,6 @@ def grade(creation: Leg, runtime: Leg, policy: MatchPolicy) -> MatchResult:
     carrying every failed leg as causes, only when no leg matched.  The
     grade is Exact when every matched leg is exact-eligible, else Partial.
     """
-    requirement = policy.requirement
     legs = (creation,) if requirement is Requirement.CREATION_ONLY \
         else (creation, runtime)
     matched = [leg for leg in legs if isinstance(leg, ArtifactReport)]

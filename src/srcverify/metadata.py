@@ -156,45 +156,7 @@ def injected_library_source(contract_name: str) -> str:
     return f"library {lib} {{}}\n"
 
 
-@dataclass(frozen=True)
-class DiffIteration:
-    first_diff_index: int
-    span: MetadataSpan
-
-
-@dataclass
-class DifferentialTrace:
-    baseline: bytes
-    perturbed: bytes
-    iterations: list[DiffIteration]
-
-    @property
-    def first_diff_index(self) -> int | None:
-        return self.iterations[0].first_diff_index if self.iterations else None
-
-    @property
-    def spans(self) -> list[MetadataSpan]:
-        """Identified regions merged into disjoint, sorted spans."""
-        ranges = sorted((it.span.start, it.span.end) for it in self.iterations)
-        merged: list[list[int]] = []
-        for start, end in ranges:
-            if merged and start <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], end)
-            else:
-                merged.append([start, end])
-        n = len(self.baseline)
-        return [
-            MetadataSpan(
-                start,
-                end,
-                MetadataKind.TRAILING if end == n else MetadataKind.EMBEDDED,
-                SpanSource.DIFFERENTIAL,
-            )
-            for start, end in merged
-        ]
-
-
-def _expand_to_block(baseline: bytes, index: int) -> MetadataSpan | None:
+def _block_start(baseline: bytes, index: int) -> int | None:
     """Nearest plausible block start at or before index.
 
     Naive on purpose: it anchors on the block's first byte alone, without
@@ -204,19 +166,36 @@ def _expand_to_block(baseline: bytes, index: int) -> MetadataSpan | None:
     floor = max(index - (PATTERN_LENGTH - 1), 0)
     for start in range(index, floor - 1, -1):
         if baseline[start] == 0xA2 and start + PATTERN_LENGTH <= len(baseline):
-            end = start + PATTERN_LENGTH
-            kind = (MetadataKind.TRAILING if end == len(baseline)
-                    else MetadataKind.EMBEDDED)
-            return MetadataSpan(start, end, kind, SpanSource.DIFFERENTIAL)
+            return start
     return None
 
 
+def _merge(starts: list[int], code_len: int) -> list[MetadataSpan]:
+    """Block windows at starts, merged into disjoint, sorted spans."""
+    merged: list[list[int]] = []
+    for start in sorted(starts):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = start + PATTERN_LENGTH
+        else:
+            merged.append([start, start + PATTERN_LENGTH])
+    return [
+        MetadataSpan(
+            start,
+            end,
+            MetadataKind.TRAILING if end == code_len else MetadataKind.EMBEDDED,
+            SpanSource.DIFFERENTIAL,
+        )
+        for start, end in merged
+    ]
+
+
 def differential_extract(compiler, request, artifact: str = "runtime",
-                         max_iterations: int = 16) -> DifferentialTrace:
+                         max_iterations: int = 16) -> list[MetadataSpan]:
     """Locate metadata by recompiling with an injected source and diffing.
 
     request needs .sources and .settings; settings needs .target for the
     injected library name.  artifact selects "runtime" or "creation".
+    Returns the identified regions merged into disjoint, sorted spans.
     """
     baseline_out = compiler.compile(request.sources, request.settings)
     target = getattr(request.settings, "target", "")
@@ -240,18 +219,19 @@ def differential_extract(compiler, request, artifact: str = "runtime",
             "differential labeling needs aligned offsets")
 
     work = bytearray(perturbed)
-    iterations: list[DiffIteration] = []
+    starts: list[int] = []
     for _ in range(max_iterations):
         index = first_mismatch(baseline, work)
         if index is None:
-            return DifferentialTrace(baseline, perturbed, iterations)
-        span = _expand_to_block(baseline, index)
-        if span is None:
+            return _merge(starts, len(baseline))
+        start = _block_start(baseline, index)
+        if start is None:
             raise NonConvergentError(
                 f"difference at offset {index} has no block start within "
                 f"{PATTERN_LENGTH - 1} bytes")
-        work[span.start:span.end] = baseline[span.start:span.end]
-        iterations.append(DiffIteration(index, span))
+        end = start + PATTERN_LENGTH
+        work[start:end] = baseline[start:end]
+        starts.append(start)
     if first_mismatch(baseline, work) is None:
-        return DifferentialTrace(baseline, perturbed, iterations)
+        return _merge(starts, len(baseline))
     raise NonConvergentError(f"differences remain after {max_iterations} iterations")

@@ -32,7 +32,6 @@ from .errors import (
 from .linker import PlaceholderMode
 from .matching import (
     Grade,
-    MatchPolicy,
     MatchResult,
     MetadataLabeler,
     Requirement,
@@ -45,6 +44,7 @@ from .simulator import ImmutableStrategy
 from .store import RecordStore, VerificationRecord, normalize_address
 
 INLINE_ASSEMBLY_WARNING = "inline-assembly"
+UNVERIFIED_LIBRARY_WARNING = "unverified-library"
 IMPORTED_WARNING = "imported"
 
 
@@ -55,7 +55,8 @@ class VerifierConfig:
     """Every behavior toggle of the pipeline, plus a profile name."""
 
     name: str
-    policy: MatchPolicy
+    requirement: Requirement
+    strict_creation_prefix: bool
     immutable_strategy: ImmutableStrategy
     placeholder_mode: PlaceholderMode
     metadata_labeler: MetadataLabeler
@@ -64,7 +65,6 @@ class VerifierConfig:
     disclose_full_paths: bool
     require_verified_libraries: bool
     recheck_code_hash_on_read: bool
-    inherit_identical_runtime: bool
     inherit_flagged_donors: bool
     allow_record_replacement: bool
     accept_imported_records: bool
@@ -72,7 +72,8 @@ class VerifierConfig:
 
 HARDENED = VerifierConfig(
     name="Hardened",
-    policy=MatchPolicy.hardened(),
+    requirement=Requirement.EITHER,
+    strict_creation_prefix=True,
     immutable_strategy=ImmutableStrategy.SIM_GUARDED,
     placeholder_mode=PlaceholderMode.OFFSET_LITERAL,
     metadata_labeler=MetadataLabeler.PATTERN_SCAN,
@@ -81,7 +82,6 @@ HARDENED = VerifierConfig(
     disclose_full_paths=True,
     require_verified_libraries=True,
     recheck_code_hash_on_read=True,
-    inherit_identical_runtime=True,
     inherit_flagged_donors=False,
     allow_record_replacement=True,
     accept_imported_records=False,
@@ -89,7 +89,8 @@ HARDENED = VerifierConfig(
 
 NAIVE_ETHERSCAN_LIKE = VerifierConfig(
     name="NaiveEtherscanLike",
-    policy=MatchPolicy(Requirement.BOTH),
+    requirement=Requirement.BOTH,
+    strict_creation_prefix=True,
     immutable_strategy=ImmutableStrategy.CHAIN_BACKFILL,
     placeholder_mode=PlaceholderMode.OFFSET_LITERAL,
     metadata_labeler=MetadataLabeler.PATTERN_SCAN,
@@ -98,7 +99,6 @@ NAIVE_ETHERSCAN_LIKE = VerifierConfig(
     disclose_full_paths=False,
     require_verified_libraries=False,
     recheck_code_hash_on_read=False,
-    inherit_identical_runtime=True,
     inherit_flagged_donors=True,
     allow_record_replacement=False,
     accept_imported_records=False,
@@ -106,8 +106,8 @@ NAIVE_ETHERSCAN_LIKE = VerifierConfig(
 
 NAIVE_SOURCIFY_LIKE = VerifierConfig(
     name="NaiveSourcifyLike",
-    policy=MatchPolicy(Requirement.EITHER, allow_empty_prefix=True,
-                       validate_ctor_args=False),
+    requirement=Requirement.EITHER,
+    strict_creation_prefix=False,
     immutable_strategy=ImmutableStrategy.SIM_GUARDED,
     placeholder_mode=PlaceholderMode.REGEX_NAIVE,
     metadata_labeler=MetadataLabeler.PATTERN_SCAN,
@@ -116,7 +116,6 @@ NAIVE_SOURCIFY_LIKE = VerifierConfig(
     disclose_full_paths=True,
     require_verified_libraries=False,
     recheck_code_hash_on_read=False,
-    inherit_identical_runtime=True,
     inherit_flagged_donors=True,
     allow_record_replacement=True,
     accept_imported_records=False,
@@ -124,8 +123,8 @@ NAIVE_SOURCIFY_LIKE = VerifierConfig(
 
 NAIVE_BLOCKSCOUT_LIKE = VerifierConfig(
     name="NaiveBlockscoutLike",
-    policy=MatchPolicy(Requirement.CREATION_ONLY, allow_empty_prefix=True,
-                       validate_ctor_args=False),
+    requirement=Requirement.CREATION_ONLY,
+    strict_creation_prefix=False,
     immutable_strategy=ImmutableStrategy.SIM_GUARDED,
     placeholder_mode=PlaceholderMode.OFFSET_LITERAL,
     metadata_labeler=MetadataLabeler.DIFFERENTIAL,
@@ -134,7 +133,6 @@ NAIVE_BLOCKSCOUT_LIKE = VerifierConfig(
     disclose_full_paths=False,
     require_verified_libraries=False,
     recheck_code_hash_on_read=False,
-    inherit_identical_runtime=True,
     inherit_flagged_donors=True,
     allow_record_replacement=False,
     accept_imported_records=True,
@@ -293,7 +291,8 @@ class VerifyService:
                 bound = normalize_address(binding.address)
                 if not self.store.has(bound):
                     warnings.append(
-                        f"unverified-library:{binding.span.lib_name}@{bound}")
+                        f"{UNVERIFIED_LIBRARY_WARNING}:"
+                        f"{binding.span.lib_name}@{bound}")
 
         settings_dict = settings.as_dict()
         if request.declared_libraries:
@@ -320,16 +319,16 @@ class VerifyService:
         the runtime bytes that were matched.
         """
         cfg = self.config
-        checks_runtime = cfg.policy.requirement is not Requirement.CREATION_ONLY
+        checks_runtime = cfg.requirement is not Requirement.CREATION_ONLY
 
         creation_spans = runtime_spans = None
         if cfg.metadata_labeler is MetadataLabeler.DIFFERENTIAL:
             probe = VerificationRequest(sources=sources, settings=settings)
             creation_spans = differential_extract(
-                self.compiler, probe, artifact="creation").spans
+                self.compiler, probe, artifact="creation")
             if checks_runtime:
                 runtime_spans = differential_extract(
-                    self.compiler, probe, artifact="runtime").spans
+                    self.compiler, probe, artifact="runtime")
 
         try:
             tx_hash, tx_input, _deployer = self.chain.get_creation_input(
@@ -340,7 +339,7 @@ class VerifyService:
             ctor_params = (parse_params(output.ctor_params)
                            if output.ctor_params is not None else None)
             creation = _attempt(match_creation, output.creation_code, tx_input,
-                                ctor_params, cfg.policy,
+                                ctor_params, strict=cfg.strict_creation_prefix,
                                 local_spans=creation_spans)
 
         onchain = _attempt(self.chain.read_code, address_bytes)
@@ -360,7 +359,7 @@ class VerifyService:
                 labeler=cfg.metadata_labeler,
                 differential_spans=runtime_spans)
 
-        result = grade(creation, runtime, cfg.policy)
+        result = grade(creation, runtime, cfg.requirement)
         if isinstance(onchain, VerifierError):
             raise onchain
         # hashed only now, so a refused submit hashes nothing; the chain
@@ -403,8 +402,6 @@ class VerifyService:
     def inherit_identical_runtime(self, new_address: str | bytes) -> VerificationRecord:
         """Clone an existing record onto an address with identical runtime."""
         cfg = self.config
-        if not cfg.inherit_identical_runtime:
-            raise NoDonorError(f"profile {cfg.name} disables inheritance")
         address = normalize_address(new_address)
         live_hash = self.chain.get_code_hash(bytes.fromhex(address[2:]))
         if not live_hash:

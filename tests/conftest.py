@@ -2,9 +2,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 # make tests/oracles.py importable from any test module
 sys.path.insert(0, str(Path(__file__).parent))
+
+# every run draws the same examples: seeded from each test's own source,
+# with no example database replaying earlier runs' finds
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -34,7 +34,7 @@ from srcverify.errors import (
     StaleRecordError,
 )
 from srcverify.linker import PlaceholderForm, PlaceholderMode, PlaceholderSpan, resolve
-from srcverify.matching import Grade, MatchPolicy, Requirement, match_creation
+from srcverify.matching import Grade, match_creation
 from srcverify.metadata import (
     differential_extract,
     make_metadata_block,
@@ -121,15 +121,13 @@ def test_criterion_2_foreign_return_guard_and_benign_immutables():
 def test_criterion_3_prefix_guards_and_ctor_args_oracle():
     runtime = BODY + make_metadata_block(keccak256(b"pfx"))
     tx = make_creation_code(runtime)
-    naive = MatchPolicy(Requirement.EITHER, allow_empty_prefix=True,
-                        validate_ctor_args=False)
 
-    assert match_creation(b"", tx, None, naive).exact_eligible
+    assert match_creation(b"", tx, None, strict=False).exact_eligible
     with pytest.raises(EmptyLocalBytecodeError):
-        match_creation(b"", tx, None, MatchPolicy.hardened())
-    assert match_creation(tx[:10], tx, None, naive).exact_eligible
+        match_creation(b"", tx, None)
+    assert match_creation(tx[:10], tx, None, strict=False).exact_eligible
     with pytest.raises(InvalidConstructorArgumentsError):
-        match_creation(tx[:10], tx, None, MatchPolicy.hardened())
+        match_creation(tx[:10], tx, None)
 
     pool = ["uint256", "int256", "address", "bool", "bytes4", "bytes32", "bytes8"]
     rng = random.Random(777)
@@ -159,7 +157,7 @@ def test_criterion_3_prefix_guards_and_ctor_args_oracle():
             blob = b"\xff" * 31  # not a word multiple
         params = parse_params(types)
         try:
-            match_creation(local, local + blob, params, MatchPolicy.hardened())
+            match_creation(local, local + blob, params)
             accepted = True
         except InvalidConstructorArgumentsError:
             accepted = False
@@ -198,11 +196,11 @@ def test_criterion_4_metadata_scan_strip_and_differential_masking():
         creation_code=make_creation_code(bytes(variant)),
         runtime_template=bytes(variant)))
 
-    trace = differential_extract(
+    spans = differential_extract(
         compiler, SimpleNamespace(sources=sources, settings=settings),
         artifact="runtime")
     pattern = {(s.start, s.end) for s in scan_metadata(innocent)}
-    differential = {(s.start, s.end) for s in trace.spans}
+    differential = {(s.start, s.end) for s in spans}
     backdoor_offset = 9  # the deployed code carries 0xff here
     assert differential != pattern
     assert any(start <= backdoor_offset < end for start, end in differential)

@@ -12,6 +12,7 @@ from srcverify._keccak import keccak256
 from srcverify.attacklab import (
     CANONICAL_TOGGLE,
     EXPECTED_MATRIX,
+    GUARDS,
     SCENARIOS,
     TOGGLE_RISKS,
     ExploitOutcome,
@@ -33,6 +34,7 @@ from srcverify.service import (
     NAIVE_SOURCIFY_LIKE,
     PROFILES,
 )
+from srcverify.simulator import ImmutableStrategy
 
 
 class TestScenarioRegistry:
@@ -158,6 +160,19 @@ class TestToggles:
                 f"flipping {field_name} changed {sorted(changed)}, "
                 f"allowed {sorted(allowed)}")
 
+    def test_flip_changes_only_its_field(self):
+        for config in PROFILES.values():
+            for field_name in GUARDS:
+                flipped = flip_field(config, field_name)
+                restored = replace(
+                    flipped, **{field_name: getattr(config, field_name)})
+                assert restored == config, (config.name, field_name)
+
+    def test_every_guard_field_varies_across_profiles(self):
+        for field_name in GUARDS:
+            values = {getattr(config, field_name) for config in PROFILES.values()}
+            assert len(values) >= 2, field_name
+
     def test_flip_is_an_involution(self):
         for field_name in TOGGLE_RISKS:
             twice = flip_field(flip_field(HARDENED, field_name), field_name)
@@ -213,15 +228,12 @@ class TestScanConfig:
                         if flag != "partial-matching"]
             assert {rid for _, rid in findings} == (
                 set() if risk is None else {risk}), field_name
-            assert all(flag.partition(".")[0] == field_name
-                       for flag, _ in findings), field_name
+            assert all(flag == field_name for flag, _ in findings), field_name
 
     def test_flag_names_are_real_fields(self):
         from dataclasses import fields
         from srcverify.service import VerifierConfig
-        known = {f.name for f in fields(VerifierConfig)}
-        known |= {"policy.allow_empty_prefix", "policy.validate_ctor_args",
-                  "partial-matching"}
+        known = {f.name for f in fields(VerifierConfig)} | {"partial-matching"}
         for config in PROFILES.values():
             for flag, _, note in scan_config(config):
                 assert flag in known
@@ -234,6 +246,23 @@ class TestScanConfig:
             for rid in SCENARIOS:
                 if EXPECTED_MATRIX[(rid, name)][0] == "exploited":
                     assert rid in risks, (name, rid)
+
+    @pytest.mark.parametrize("config", [
+        replace(NAIVE_ETHERSCAN_LIKE, placeholder_mode=PlaceholderMode.REGEX_NAIVE),
+        replace(NAIVE_ETHERSCAN_LIKE,
+                immutable_strategy=ImmutableStrategy.SIM_GUARDED,
+                trust_simulated_return=True),
+        replace(NAIVE_BLOCKSCOUT_LIKE,
+                placeholder_mode=PlaceholderMode.REGEX_NAIVE,
+                metadata_labeler=MetadataLabeler.PATTERN_SCAN),
+    ], ids=["etherscan-regex", "etherscan-trusted-sim", "blockscout-regex"])
+    def test_scan_agrees_with_lab_beyond_hardened(self, config):
+        # each probe holds a naive guard whose attack the profile's
+        # requirement or labeler still blocks
+        exploited = {rid for rid in SCENARIOS if run_poc(rid, config).exploited}
+        reported = {rid for flag, rid, _ in scan_config(config)
+                    if flag != "partial-matching"}
+        assert exploited == reported
 
     @settings(max_examples=100, deadline=None)
     @example(frozenset({"immutable_strategy", "trust_simulated_return"}))

@@ -1,4 +1,4 @@
-"""Placeholder scanning and the two link-resolution modes."""
+"""Placeholder rendering and the two link-resolution modes."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +15,6 @@ from srcverify.linker import (
     declared_placeholders,
     render_placeholder_text,
     resolve,
-    scan_placeholders,
     splice_unlinked_text,
 )
 
@@ -41,7 +40,7 @@ def make_poc_pair():
     owner_offset = len(prefix) + 21 + len(mid) + 1
     onchain = prefix + b"\x73" + lib_addr + mid + b"\x73" + lib_addr + suffix
     span = PlaceholderSpan(span_offset, TRICKY_PATH, TRICKY_LIB,
-                           PlaceholderForm.LEGACY, declared=True)
+                           PlaceholderForm.LEGACY)
     return local, onchain, span, owner_offset, lib_addr
 
 
@@ -70,34 +69,15 @@ class TestRendering:
 
 
 class TestScan:
-    def test_legacy_text_bytes(self):
-        text = ("__" + TRICKY_PATH + ":" + TRICKY_LIB).ljust(38, "_") + "__"
-        code = b"\x60\x01" + text.encode() + b"\x00"
-        spans = scan_placeholders(code, legacy=True)
-        assert len(spans) == 1
-        assert spans[0].file_path == TRICKY_PATH
-        assert spans[0].lib_name == TRICKY_LIB
-
-    def test_hash_form(self):
-        digest = "0123456789abcdef0123456789abcdef01"
-        text = "6001" + "__$" + digest + "$__" + "5b"
-        spans = scan_placeholders(text, legacy=False)
-        assert len(spans) == 1
-        assert spans[0].lib_name == digest
-        assert spans[0].offset == 2
-
-    def test_pure_hex_has_no_placeholders(self):
-        assert scan_placeholders(b"\x60\x01\x5b" * 30, legacy=True) == []
-        assert scan_placeholders((b"\x60\x01\x5b" * 30).hex(), legacy=False) == []
+    """Reading placeholder text back out of spliced code."""
 
     def test_spliced_round_trip(self):
         local, _, span, _, _ = make_poc_pair()
         text = splice_unlinked_text(local, [span])
-        found = scan_placeholders(text, legacy=True)
-        assert len(found) == 1
-        assert found[0].offset == span.offset
-        assert found[0].file_path == span.file_path
-        assert found[0].lib_name == span.lib_name
+        site = slice(2 * span.offset, 2 * span.end)
+        assert text[site] == render_placeholder_text(span)
+        assert text[:site.start] == local[:span.offset].hex()
+        assert text[site.stop:] == local[span.end:].hex()
 
 
 class TestDeclared:
@@ -118,14 +98,13 @@ class TestDeclared:
         with pytest.raises(MalformedLinkReferenceError):
             declared_placeholders(Output())
 
-    def test_valid_spans_marked_declared(self):
+    def test_valid_spans_sorted_by_offset(self):
         class Output:
             runtime_template = bytes(100)
             link_refs = [PlaceholderSpan(40, "a.sol", "L"), PlaceholderSpan(10, "b.sol", "M")]
 
         spans = declared_placeholders(Output())
         assert [s.offset for s in spans] == [10, 40]
-        assert all(s.declared for s in spans)
 
 
 class TestResolveHardened:
@@ -141,7 +120,7 @@ class TestResolveHardened:
     def test_unset_library_flagged(self):
         local = bytes(40)
         onchain = bytes(40)
-        span = PlaceholderSpan(5, "a.sol", "L", declared=True)
+        span = PlaceholderSpan(5, "a.sol", "L")
         _, bindings = resolve(local, onchain, [span], PlaceholderMode.OFFSET_LITERAL)
         assert bindings[0].unset
 
@@ -168,7 +147,7 @@ class TestResolveHardened:
             cursor = start + 20
             if data.draw(st.booleans()):
                 break
-        spans = [PlaceholderSpan(s, f"f{k}.sol", f"L{k}", declared=True)
+        spans = [PlaceholderSpan(s, f"f{k}.sol", f"L{k}")
                  for k, s in enumerate(starts)]
         resolved, _ = resolve(local, onchain, spans, PlaceholderMode.OFFSET_LITERAL)
         inside = set()
@@ -199,7 +178,7 @@ class TestResolveNaive:
         local = prefix + b"\x73" + bytes(20) + bytes.fromhex("5bf3")
         addr = bytes.fromhex("0102030405060708090a0b0c0d0e0f1011121314")
         onchain = prefix + b"\x73" + addr + bytes.fromhex("5bf3")
-        span = PlaceholderSpan(4, "lib/SafeMath.sol", "SafeMath", declared=True)
+        span = PlaceholderSpan(4, "lib/SafeMath.sol", "SafeMath")
         naive_out, _ = resolve(local, onchain, [span], PlaceholderMode.REGEX_NAIVE)
         hard_out, _ = resolve(local, onchain, [span], PlaceholderMode.OFFSET_LITERAL)
         assert naive_out == hard_out == onchain
@@ -207,14 +186,14 @@ class TestResolveNaive:
     def test_invalid_regex_falls_back_to_literal(self):
         local = b"\x73" + bytes(20) + b"\x00" * 5
         onchain = b"\x73" + bytes(range(1, 21)) + b"\x00" * 5
-        span = PlaceholderSpan(1, "((bad", "L", declared=True)
+        span = PlaceholderSpan(1, "((bad", "L")
         resolved, _ = resolve(local, onchain, [span], PlaceholderMode.REGEX_NAIVE)
         assert resolved == onchain
 
     def test_hash_form_naive_touches_own_site_only(self):
         local = b"\x00" * 2 + bytes(20) + b"\x11" * 6
         onchain = b"\x00" * 2 + bytes(range(40, 60)) + b"\x11" * 6
-        span = PlaceholderSpan(2, "", "ab" * 17, PlaceholderForm.HASH, declared=True)
+        span = PlaceholderSpan(2, "", "ab" * 17, PlaceholderForm.HASH)
         resolved, bindings = resolve(local, onchain, [span], PlaceholderMode.REGEX_NAIVE)
         assert resolved == onchain
         assert bindings[0].matched_offsets == [2]

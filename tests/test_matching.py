@@ -20,7 +20,6 @@ from srcverify.linker import PlaceholderForm, PlaceholderSpan
 from srcverify.matching import (
     ArtifactReport,
     Grade,
-    MatchPolicy,
     MetadataLabeler,
     Requirement,
     grade,
@@ -36,10 +35,6 @@ from srcverify.metadata import (
 from srcverify.simulator import ImmutableRef, ImmutableStrategy
 from srcverify.abi import parse_params
 
-HARDENED = MatchPolicy.hardened()
-NAIVE = MatchPolicy(Requirement.EITHER, allow_empty_prefix=True,
-                    validate_ctor_args=False)
-
 BODY = bytes.fromhex("6080604052600a600055")
 BLOCK_A = make_metadata_block(keccak256(b"hash-a"))
 BLOCK_B = make_metadata_block(keccak256(b"hash-b"))
@@ -53,61 +48,51 @@ class TestMatchCreation:
     def test_prefix_with_one_argument(self):
         local = BODY
         tx = local + word(1)
-        report = match_creation(local, tx, parse_params(["uint256"]), HARDENED)
+        report = match_creation(local, tx, parse_params(["uint256"]))
         assert report.exact_eligible
         assert report.ctor_args_decoded == [1]
 
     def test_exact_no_arguments(self):
-        report = match_creation(BODY, BODY, [], HARDENED)
+        report = match_creation(BODY, BODY, [])
         assert report.ctor_args_decoded == []
 
     def test_empty_local_hardened_rejected(self):
         with pytest.raises(EmptyLocalBytecodeError):
-            match_creation(b"", BODY, [], HARDENED)
+            match_creation(b"", BODY, [])
 
     def test_empty_local_naive_accepted(self):
-        report = match_creation(b"", BODY + b"junk", None, NAIVE)
+        report = match_creation(b"", BODY + b"junk", None, strict=False)
         assert report.ctor_args_decoded is None
-
-    def test_empty_local_with_validation_still_fails_on_remainder(self):
-        # allowing the empty prefix alone is not enough: the whole tx input
-        # becomes the remainder and fails argument validation
-        policy = MatchPolicy(Requirement.EITHER, allow_empty_prefix=True,
-                             validate_ctor_args=True)
-        with pytest.raises(InvalidConstructorArgumentsError):
-            match_creation(b"", BODY, [], policy)
 
     def test_31_byte_remainder_rejected(self):
         with pytest.raises(InvalidConstructorArgumentsError):
-            match_creation(BODY, BODY + bytes(31), parse_params(["uint256"]),
-                           HARDENED)
+            match_creation(BODY, BODY + bytes(31), parse_params(["uint256"]))
 
     def test_junk_remainder_accepted_when_validation_off(self):
-        policy = MatchPolicy(Requirement.EITHER, validate_ctor_args=False)
-        report = match_creation(BODY, BODY + bytes(31), None, policy)
+        report = match_creation(BODY, BODY + bytes(31), None, strict=False)
         assert report.ctor_args_decoded is None
 
     def test_remainder_with_undeclared_params_rejected(self):
         with pytest.raises(InvalidConstructorArgumentsError):
-            match_creation(BODY, BODY + word(1), None, HARDENED)
+            match_creation(BODY, BODY + word(1), None)
 
     def test_missing_required_argument(self):
         with pytest.raises(InvalidConstructorArgumentsError):
-            match_creation(BODY, BODY, parse_params(["uint256"]), HARDENED)
+            match_creation(BODY, BODY, parse_params(["uint256"]))
 
     def test_not_a_prefix(self):
         with pytest.raises(NotAPrefixError):
-            match_creation(BODY, b"\xff" + BODY[1:], [], HARDENED)
+            match_creation(BODY, b"\xff" + BODY[1:], [])
 
     def test_tx_shorter_than_local(self):
         with pytest.raises(NotAPrefixError):
-            match_creation(BODY, BODY[:-1], [], HARDENED)
+            match_creation(BODY, BODY[:-1], [])
 
     def test_metadata_only_difference_is_partial(self):
         local = make_creation_code(BODY + BLOCK_A)
         onchain_creation = make_creation_code(BODY + BLOCK_B)
         tx = onchain_creation + word(7)
-        report = match_creation(local, tx, parse_params(["uint256"]), HARDENED)
+        report = match_creation(local, tx, parse_params(["uint256"]))
         assert not report.exact_eligible
         assert report.stripped_spans
         assert report.ctor_args_decoded == [7]
@@ -117,7 +102,7 @@ class TestMatchCreation:
         tampered = bytearray(make_creation_code(BODY + BLOCK_B))
         tampered[13] ^= 0x01  # inside the copied body, outside any span
         with pytest.raises(NotAPrefixError):
-            match_creation(local, bytes(tampered), [], HARDENED)
+            match_creation(local, bytes(tampered), [])
 
     @settings(max_examples=120, deadline=None)
     @given(st.binary(min_size=1, max_size=60), st.data())
@@ -128,7 +113,7 @@ class TestMatchCreation:
         tx = bytearray(local + data.draw(st.binary(max_size=32)))
         tx[idx] ^= flip
         with pytest.raises((NotAPrefixError, InvalidConstructorArgumentsError)):
-            match_creation(local, bytes(tx), None, HARDENED)
+            match_creation(local, bytes(tx), None)
 
 
 def simple_output(runtime: bytes, **kwargs) -> CompilationOutput:
@@ -224,8 +209,7 @@ class TestMatchRuntime:
         assert report.immutable_audit == ["unverified-immutable:owner"]
 
     def test_placeholder_bound_from_onchain(self):
-        span = PlaceholderSpan(2, "lib.sol", "Math", PlaceholderForm.LEGACY,
-                               declared=True)
+        span = PlaceholderSpan(2, "lib.sol", "Math", PlaceholderForm.LEGACY)
         template = b"\x60\x80" + bytes(20) + b"\x00"
         onchain = b"\x60\x80" + bytes.fromhex("cd" * 20) + b"\x00"
         output = CompilationOutput(
@@ -238,8 +222,7 @@ class TestMatchRuntime:
         assert report.immutable_audit == []
 
     def test_unset_placeholder_audited(self):
-        span = PlaceholderSpan(2, "lib.sol", "Math", PlaceholderForm.LEGACY,
-                               declared=True)
+        span = PlaceholderSpan(2, "lib.sol", "Math", PlaceholderForm.LEGACY)
         template = b"\x60\x80" + bytes(20) + b"\x00"
         output = CompilationOutput(
             creation_code=make_creation_code(template),
@@ -248,8 +231,7 @@ class TestMatchRuntime:
         assert report.immutable_audit == ["unset-library:Math"]
 
     def test_link_spans_need_equal_lengths(self):
-        span = PlaceholderSpan(0, "lib.sol", "Math", PlaceholderForm.LEGACY,
-                               declared=True)
+        span = PlaceholderSpan(0, "lib.sol", "Math", PlaceholderForm.LEGACY)
         template = bytes(20)
         output = CompilationOutput(
             creation_code=make_creation_code(template),
@@ -348,9 +330,9 @@ def matched(artifact: str, exact: bool = True) -> ArtifactReport:
     return ArtifactReport(artifact, exact_eligible=exact)
 
 
-BOTH = MatchPolicy(Requirement.BOTH)
-EITHER = MatchPolicy(Requirement.EITHER)
-CREATION_ONLY = MatchPolicy(Requirement.CREATION_ONLY)
+BOTH = Requirement.BOTH
+EITHER = Requirement.EITHER
+CREATION_ONLY = Requirement.CREATION_ONLY
 
 
 def class_name(exc: Exception) -> str:
@@ -363,9 +345,8 @@ class TestGrade:
     def test_verdict(self, requirement, creation, runtime, verdict):
         legs = {"creation": make_leg("creation", creation),
                 "runtime": make_leg("runtime", runtime)}
-        policy = MatchPolicy(requirement)
         if verdict in ("EXACT", "PARTIAL"):
-            result = grade(legs["creation"], legs["runtime"], policy)
+            result = grade(legs["creation"], legs["runtime"], requirement)
             assert result.grade is Grade[verdict]
             for artifact, report in (("creation", result.creation_report),
                                      ("runtime", result.runtime_report)):
@@ -374,7 +355,7 @@ class TestGrade:
                                   else None)
             return
         with pytest.raises(VerifierError) as excinfo:
-            grade(legs["creation"], legs["runtime"], policy)
+            grade(legs["creation"], legs["runtime"], requirement)
         raised = excinfo.value
         if verdict.endswith("!"):
             assert raised is legs[verdict[:-1]]

@@ -211,15 +211,10 @@ class TestDifferential:
         self.request = VerificationRequest(sources=self.sources, settings=self.settings)
 
     def test_benign_spans_match_pattern_scan(self):
-        trace = differential_extract(self.compiler, self.request)
-        assert [(s.start, s.end) for s in trace.spans] == \
+        spans = differential_extract(self.compiler, self.request)
+        assert [(s.start, s.end) for s in spans] == \
             [(s.start, s.end) for s in scan_metadata(self.runtime)]
-        assert all(s.source is SpanSource.DIFFERENTIAL for s in trace.spans)
-
-    def test_first_diff_lands_in_hash_region(self):
-        trace = differential_extract(self.compiler, self.request)
-        start = len(BODY)
-        assert start + 8 <= trace.first_diff_index < start + 42
+        assert all(s.source is SpanSource.DIFFERENTIAL for s in spans)
 
     def test_identical_outputs_give_empty_trace(self):
         # register the perturbed input explicitly with the *same* output
@@ -229,9 +224,7 @@ class TestDifferential:
             creation_code=make_creation_code(self.runtime),
             runtime_template=self.runtime)
         self.compiler.register(perturbed, self.settings, out)
-        trace = differential_extract(self.compiler, self.request)
-        assert trace.spans == []
-        assert trace.first_diff_index is None
+        assert differential_extract(self.compiler, self.request) == []
 
     def test_mislabel_when_source_references_injected_library(self):
         # attacker's runtime carries a stray 0xa2 then an 0xFF in real code;
@@ -258,16 +251,31 @@ class TestDifferential:
                 runtime_template=bytes(perturbed_runtime)))
 
         request = VerificationRequest(sources=sources, settings=self.settings)
-        trace = differential_extract(self.compiler, request)
+        spans = differential_extract(self.compiler, request)
         strict = {(s.start, s.end) for s in scan_metadata(runtime)}
-        naive = {(s.start, s.end) for s in trace.spans}
+        naive = {(s.start, s.end) for s in spans}
         assert not naive <= strict, "naive labeler must diverge on this fixture"
         # the real trailing block is still labeled, plus a bogus span
         # covering the planted 0xFF code byte
         assert strict <= naive
         ff_offset = len(BODY) + 1
-        assert any(s.start <= ff_offset < s.end for s in trace.spans)
+        assert any(s.start <= ff_offset < s.end for s in spans)
         assert runtime[ff_offset] == 0xFF
+
+    def test_overlapping_windows_merge_into_one_span(self):
+        # two differences, each expanded from its own 0xa2, give windows
+        # [10, 63) and [30, 83): one embedded span covers both
+        runtime = bytearray(b"\x60" * 120)
+        runtime[10] = runtime[30] = 0xA2
+        register_simple(self.compiler, self.sources, self.settings, bytes(runtime))
+        perturbed = dict(self.sources)
+        perturbed[INJECTED_FILENAME] = "library L_Box {}\n"
+        changed = bytearray(runtime)
+        changed[12] = changed[70] = 0x61
+        register_simple(self.compiler, perturbed, self.settings, bytes(changed))
+        spans = differential_extract(self.compiler, self.request)
+        assert [(s.start, s.end, s.kind) for s in spans] == [
+            (10, 83, MetadataKind.EMBEDDED)]
 
     def test_diff_without_block_start_is_nonconvergent(self):
         # difference in a region with no 0xa2 anywhere nearby
@@ -289,10 +297,10 @@ class TestDifferential:
             differential_extract(self.compiler, self.request)
 
     def test_creation_artifact_also_labeled(self):
-        trace = differential_extract(self.compiler, self.request, artifact="creation")
+        spans = differential_extract(self.compiler, self.request, artifact="creation")
         # creation embeds the runtime at offset 12, so its copy of the block moves
-        assert trace.spans
-        assert trace.spans[0].start == 12 + len(BODY)
+        assert spans
+        assert spans[0].start == 12 + len(BODY)
 
 
 class TestFixtureCompiler:

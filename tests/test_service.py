@@ -45,7 +45,6 @@ from srcverify.service import (
 )
 from srcverify.simulator import ImmutableRef
 from srcverify.store import RecordStore, VerificationRecord
-from srcverify.matching import MatchPolicy
 
 BODY = bytes.fromhex("6080604052600a600055")
 BLOCK_A = make_metadata_block(keccak256(b"hash-a"))
@@ -202,7 +201,8 @@ class TestProfiles:
             get_profile("etherscan")
 
     def test_hardened_guards_all_on(self):
-        assert HARDENED.policy == MatchPolicy.hardened()
+        assert HARDENED.requirement is Requirement.EITHER
+        assert HARDENED.strict_creation_prefix
         assert not HARDENED.trust_simulated_return
         assert not HARDENED.allow_parent_path_refs
         assert HARDENED.disclose_full_paths
@@ -420,7 +420,7 @@ class TestSubmitVerification:
             creation_code=make_creation_code(template),
             runtime_template=template,
             link_refs=[PlaceholderSpan(2, "lib/m.sol", "Math",
-                                       PlaceholderForm.LEGACY, declared=True)])
+                                       PlaceholderForm.LEGACY)])
         w = build(HARDENED, tmp_path, output=output, deployed_runtime=linked)
         record = w.service.submit_verification(w.request)
         assert record.grade is Grade.EXACT
@@ -434,7 +434,7 @@ class TestSubmitVerification:
             creation_code=make_creation_code(template),
             runtime_template=template,
             link_refs=[PlaceholderSpan(2, "lib/m.sol", "Math",
-                                       PlaceholderForm.LEGACY, declared=True)])
+                                       PlaceholderForm.LEGACY)])
         w = build(HARDENED, tmp_path, output=output, deployed_runtime=linked)
         w.store.store_record(VerificationRecord(
             address=lib_addr, grade=Grade.EXACT,
@@ -602,12 +602,6 @@ class TestInheritance:
         assert record.grade is Grade.EXACT
         assert f"inherited-from:0x{w.address.hex()}" in record.warnings
         assert w.store.has(twin)
-
-    def test_disabled_inheritance_refuses(self, tmp_path):
-        config = dataclasses.replace(HARDENED, inherit_identical_runtime=False)
-        w, twin = self._verify_and_clone(config, tmp_path)
-        with pytest.raises(NoDonorError):
-            w.service.inherit_identical_runtime(twin)
 
     def test_hardened_refuses_flagged_donor(self, tmp_path):
         flagged = CompilationOutput(creation_code=make_creation_code(RUNTIME),
