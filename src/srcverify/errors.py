@@ -183,6 +183,10 @@ class NotVerifiedError(VerifierError):
     """Query for an address with no stored record."""
 
 
+class CorruptRecordError(VerifierError):
+    """A stored manifest does not parse, or does not describe a record."""
+
+
 class StaleRecordError(VerifierError):
     """Strict query found on-chain code differing from the recorded hash."""
 

@@ -189,30 +189,39 @@ def _merge(starts: list[int], code_len: int) -> list[MetadataSpan]:
     ]
 
 
-def differential_extract(compiler, request, artifact: str = "runtime",
-                         max_iterations: int = 16) -> list[MetadataSpan]:
-    """Locate metadata by recompiling with an injected source and diffing.
+def _pick(output, artifact: str) -> bytes:
+    if artifact == "runtime":
+        return output.runtime_template
+    if artifact == "creation":
+        return output.creation_code
+    raise ValueError(f"unknown artifact {artifact!r}")
+
+
+def differential_extract(compiler, request, baseline_out, artifacts,
+                         max_iterations: int = 16) -> dict[str, list[MetadataSpan]]:
+    """Locate metadata by compiling with an injected source and diffing.
 
     request needs .sources and .settings; settings needs .target for the
-    injected library name.  artifact selects "runtime" or "creation".
-    Returns the identified regions merged into disjoint, sorted spans.
+    injected library name.  baseline_out is the compilation of the request
+    as submitted; only the perturbed sources are compiled here, once for
+    every artifact.  artifacts names "runtime" and/or "creation"; the result
+    maps each to its identified regions, merged into disjoint, sorted spans.
+    The first artifact that does not converge raises.
     """
-    baseline_out = compiler.compile(request.sources, request.settings)
     target = getattr(request.settings, "target", "")
     contract_name = target.rsplit(":", 1)[-1] if target else ""
     perturbed_sources = dict(request.sources)
     perturbed_sources[INJECTED_FILENAME] = injected_library_source(contract_name)
     perturbed_out = compiler.compile(perturbed_sources, request.settings)
+    return {
+        artifact: _diff_spans(_pick(baseline_out, artifact),
+                              _pick(perturbed_out, artifact), max_iterations)
+        for artifact in artifacts
+    }
 
-    def pick(output) -> bytes:
-        if artifact == "runtime":
-            return output.runtime_template
-        if artifact == "creation":
-            return output.creation_code
-        raise ValueError(f"unknown artifact {artifact!r}")
 
-    baseline = pick(baseline_out)
-    perturbed = pick(perturbed_out)
+def _diff_spans(baseline: bytes, perturbed: bytes,
+                max_iterations: int) -> list[MetadataSpan]:
     if len(baseline) != len(perturbed):
         raise NonConvergentError(
             f"outputs differ in length ({len(baseline)} vs {len(perturbed)}); "

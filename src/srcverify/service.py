@@ -321,14 +321,12 @@ class VerifyService:
         cfg = self.config
         checks_runtime = cfg.requirement is not Requirement.CREATION_ONLY
 
-        creation_spans = runtime_spans = None
+        spans = {}
         if cfg.metadata_labeler is MetadataLabeler.DIFFERENTIAL:
             probe = VerificationRequest(sources=sources, settings=settings)
-            creation_spans = differential_extract(
-                self.compiler, probe, artifact="creation")
-            if checks_runtime:
-                runtime_spans = differential_extract(
-                    self.compiler, probe, artifact="runtime")
+            spans = differential_extract(
+                self.compiler, probe, output,
+                ("creation", "runtime") if checks_runtime else ("creation",))
 
         try:
             tx_hash, tx_input, _deployer = self.chain.get_creation_input(
@@ -340,7 +338,7 @@ class VerifyService:
                            if output.ctor_params is not None else None)
             creation = _attempt(match_creation, output.creation_code, tx_input,
                                 ctor_params, strict=cfg.strict_creation_prefix,
-                                local_spans=creation_spans)
+                                local_spans=spans.get("creation"))
 
         onchain = _attempt(self.chain.read_code, address_bytes)
         if not checks_runtime:
@@ -357,7 +355,7 @@ class VerifyService:
                 trust_simulated_return=cfg.trust_simulated_return,
                 placeholder_mode=cfg.placeholder_mode,
                 labeler=cfg.metadata_labeler,
-                differential_spans=runtime_spans)
+                differential_spans=spans.get("runtime"))
 
         result = grade(creation, runtime, cfg.requirement)
         if isinstance(onchain, VerifierError):

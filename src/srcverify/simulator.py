@@ -16,6 +16,7 @@ with it outside the declared immutable regions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -102,17 +103,28 @@ def _signed(x: int) -> int:
     return x - (1 << 256) if x & SIGN_BIT else x
 
 
+# the only opcodes that change the jump-destination walk: JUMPDEST, PUSHn
+_JUMPDEST_OR_PUSH = re.compile(rb"[\x5b\x60-\x7f]")
+
+
 def _valid_jumpdests(code: bytes) -> set[int]:
+    """Offsets of JUMPDEST opcodes, push immediates stepped over.
+
+    Hops from one JUMPDEST or PUSHn byte to the next, so the cost follows
+    how many there are rather than the length of the code.
+    """
     dests = set()
-    i = 0
-    while i < len(code):
+    search = _JUMPDEST_OR_PUSH.search
+    hit = search(code)
+    while hit is not None:
+        i = hit.start()
         op = code[i]
         if op == 0x5B:
             dests.add(i)
-        if PUSH1 <= op <= PUSH32:
-            i += op - PUSH1 + 2
-        else:
             i += 1
+        else:
+            i += op - PUSH1 + 2
+        hit = search(code, i)
     return dests
 
 

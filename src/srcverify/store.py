@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import (
+    CorruptRecordError,
     DuplicateAfterNormalizationError,
     NotVerifiedError,
     ReplacementDeniedError,
@@ -37,6 +38,9 @@ RECORD_FILENAME = "record"
 # Grades a record may carry; also the fixed lookup order, so an exact
 # record shadows a stray partial one for the same address.
 _STORABLE_GRADES = (Grade.EXACT, Grade.PARTIAL)
+
+# write locks per store, shared by every address that hashes to one of them
+_WRITE_LOCKS = 64
 
 
 def normalize_address(address: str | bytes) -> str:
@@ -56,6 +60,20 @@ def normalize_address(address: str | bytes) -> str:
 
 def _sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _parse_manifest(raw: bytes, where: str) -> dict:
+    try:
+        manifest = json.loads(raw)
+    except ValueError as exc:
+        raise CorruptRecordError(f"manifest of {where} does not parse") from exc
+    if not isinstance(manifest, dict):
+        raise CorruptRecordError(f"manifest of {where} is not a JSON object")
+    return manifest
+
+
+def _read_manifest(directory: Path, where: str) -> dict:
+    return _parse_manifest((directory / RECORD_FILENAME).read_bytes(), where)
 
 
 @dataclass
@@ -94,19 +112,18 @@ class VerificationRecord:
 class RecordStore:
     """Address-keyed record directories with a grade-replacement lattice.
 
-    Writes for one address are serialized; distinct addresses and all reads
-    may proceed concurrently.
+    Writes for one address are serialized; reads never wait.  Writes to
+    distinct addresses proceed concurrently unless their addresses share one
+    of the store's fixed set of locks.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._registry_lock = threading.Lock()
-        self._address_locks: dict[str, threading.Lock] = {}
+        self._locks = tuple(threading.Lock() for _ in range(_WRITE_LOCKS))
 
     def _lock_for(self, address: str) -> threading.Lock:
-        with self._registry_lock:
-            return self._address_locks.setdefault(address, threading.Lock())
+        return self._locks[hash(address) % _WRITE_LOCKS]
 
     def _record_dir(self, grade: Grade, address: str) -> Path:
         return self.root / grade.value / address
@@ -223,23 +240,27 @@ class RecordStore:
         if found is None:
             raise NotVerifiedError(f"no record for {key}")
         grade, directory = found
-        manifest = json.loads((directory / RECORD_FILENAME).read_text())
-        sources = {}
-        for virtual_path in manifest["sourceDigests"]:
-            body_path = directory / "sources" / Path(virtual_path)
-            sources[virtual_path] = body_path.read_text()
-        tx_hex = manifest["creationTxHash"]
-        return VerificationRecord(
-            address=manifest["address"],
-            grade=Grade(manifest["grade"]),
-            sources=sources,
-            fully_qualified_target=manifest["target"],
-            settings=manifest["settings"],
-            code_hash_at_verification=bytes.fromhex(manifest["codeHash"][2:]),
-            creation_tx_hash=bytes.fromhex(tx_hex[2:]) if tx_hex else None,
-            warnings=list(manifest["warnings"]),
-            timestamp=manifest["timestamp"],
-        )
+        manifest = _read_manifest(directory, key)
+        try:
+            sources = {}
+            for virtual_path in manifest["sourceDigests"]:
+                body_path = directory / "sources" / Path(virtual_path)
+                sources[virtual_path] = body_path.read_text()
+            tx_hex = manifest["creationTxHash"]
+            return VerificationRecord(
+                address=manifest["address"],
+                grade=Grade(manifest["grade"]),
+                sources=sources,
+                fully_qualified_target=manifest["target"],
+                settings=manifest["settings"],
+                code_hash_at_verification=bytes.fromhex(manifest["codeHash"][2:]),
+                creation_tx_hash=bytes.fromhex(tx_hex[2:]) if tx_hex else None,
+                warnings=list(manifest["warnings"]),
+                timestamp=manifest["timestamp"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptRecordError(
+                f"manifest of {key} does not describe a record: {exc!r}") from exc
 
     def stored_grade(self, address: str | bytes) -> Grade:
         found = self._find(normalize_address(address))
@@ -263,15 +284,39 @@ class RecordStore:
             yield self.load(address)
 
     def find_by_code_hash(self, code_hash: bytes) -> list[VerificationRecord]:
-        """Donor candidates for runtime-identical inheritance."""
+        """Donor candidates for runtime-identical inheritance, by address.
+
+        One pass over exact/ and then partial/ reads each manifest once.  An
+        address already seen in exact/ is skipped, the shadowing _find
+        applies.  Only a manifest whose bytes hold the hash as _write spells
+        it, quoted, is parsed, and only its parsed codeHash decides; the
+        rest cost one read.  Still linear in the number of records.
+        """
         want = "0x" + code_hash.hex()
-        donors = []
-        for address in self.list_addresses():
-            grade, directory = self._find(address)
-            manifest = json.loads((directory / RECORD_FILENAME).read_text())
-            if manifest["codeHash"] == want:
-                donors.append(self.load(address))
-        return donors
+        needle = f'"{want}"'.encode()
+        seen: set[str] = set()
+        hits = []
+        for grade in _STORABLE_GRADES:
+            try:
+                entries = os.scandir(self.root / grade.value)
+            except (FileNotFoundError, NotADirectoryError):
+                continue
+            with entries:
+                for entry in entries:
+                    if entry.name in seen:
+                        continue
+                    try:
+                        with open(os.path.join(entry.path, RECORD_FILENAME),
+                                  "rb") as manifest_file:
+                            raw = manifest_file.read()
+                    except (FileNotFoundError, NotADirectoryError,
+                            IsADirectoryError):
+                        continue
+                    seen.add(entry.name)
+                    if (needle in raw and _parse_manifest(raw, entry.name)
+                            .get("codeHash") == want):
+                        hits.append(entry.name)
+        return [self.load(address) for address in sorted(hits)]
 
     # --- integrity ---
 
@@ -282,9 +327,11 @@ class RecordStore:
         if found is None:
             raise NotVerifiedError(f"no record for {key}")
         _, directory = found
-        manifest = json.loads((directory / RECORD_FILENAME).read_text())
+        digests = _read_manifest(directory, key).get("sourceDigests")
+        if not isinstance(digests, dict):
+            raise CorruptRecordError(f"manifest of {key} lists no source digests")
         tampered = []
-        for virtual_path, digest in manifest["sourceDigests"].items():
+        for virtual_path, digest in digests.items():
             body_path = directory / "sources" / Path(virtual_path)
             if not body_path.is_file() or _sha256_hex(body_path.read_bytes()) != digest:
                 tampered.append(virtual_path)

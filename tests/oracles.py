@@ -15,9 +15,14 @@ through a different route than the code under test.
   offset in turn.
 - first_mismatch_oracle, template_deviation_oracle: byte-by-byte walks for
   the slice-comparing mismatch search and the constructor-return check.
+- jumpdest_oracle: the per-byte walk for valid jump destinations.
+- code_hash_lookup_oracle: the inheritance lookup, parsing every manifest.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 
 # --- Keccak-256 ---
@@ -283,3 +288,45 @@ def template_deviation_oracle(returned: bytes, template: bytes,
         if i not in inside and returned[i] != template[i]:
             return i
     return None
+
+
+# --- per-byte jump-destination walk ---
+
+def jumpdest_oracle(code: bytes) -> set[int]:
+    """Offsets of 0x5b bytes that are opcodes, not push data, one byte at
+    a time."""
+    dests = set()
+    push_data_left = 0
+    for i, op in enumerate(code):
+        if push_data_left:
+            push_data_left -= 1
+        elif op == 0x5B:
+            dests.add(i)
+        elif 0x60 <= op <= 0x7F:
+            push_data_left = op - 0x5F
+    return dests
+
+
+# --- the inheritance lookup, one full parse per manifest ---
+
+def code_hash_lookup_oracle(root, code_hash: bytes) -> list[tuple[str, str]]:
+    """(address, grade) of every record whose manifest codeHash is the
+    given hash, by address.
+
+    Parses every manifest.  An address is looked up in exact/ when a
+    manifest file is there, otherwise in partial/.
+    """
+    want = "0x" + code_hash.hex()
+    manifests = {}
+    for grade in ("partial", "exact"):  # exact last, so it shadows partial
+        grade_dir = Path(root) / grade
+        if grade_dir.is_dir():
+            for child in grade_dir.iterdir():
+                if (child / "record").is_file():
+                    manifests[child.name] = (grade, child / "record")
+    hits = []
+    for address in sorted(manifests):
+        grade, path = manifests[address]
+        if json.loads(path.read_text())["codeHash"] == want:
+            hits.append((address, grade))
+    return hits

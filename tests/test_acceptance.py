@@ -187,8 +187,9 @@ def test_criterion_4_metadata_scan_strip_and_differential_masking():
     sources = {"contracts/token.sol": "contract Token { uint8 fee = 1; }\n"}
     settings = CompileSettings(target="contracts/token.sol:Token")
     compiler = FixtureCompiler(auto_perturb=False)
-    compiler.register(sources, settings, CompilationOutput(
-        creation_code=make_creation_code(innocent), runtime_template=innocent))
+    baseline = CompilationOutput(
+        creation_code=make_creation_code(innocent), runtime_template=innocent)
+    compiler.register(sources, settings, baseline)
     from srcverify.metadata import INJECTED_FILENAME, injected_library_source
     injected = dict(sources)
     injected[INJECTED_FILENAME] = injected_library_source("Token")
@@ -198,7 +199,7 @@ def test_criterion_4_metadata_scan_strip_and_differential_masking():
 
     spans = differential_extract(
         compiler, SimpleNamespace(sources=sources, settings=settings),
-        artifact="runtime")
+        baseline, ("runtime",))["runtime"]
     pattern = {(s.start, s.end) for s in scan_metadata(innocent)}
     differential = {(s.start, s.end) for s in spans}
     backdoor_offset = 9  # the deployed code carries 0xff here

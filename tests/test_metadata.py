@@ -207,11 +207,17 @@ class TestDifferential:
         self.sources = fixture_sources()
         self.compiler = FixtureCompiler()
         self.runtime = BODY + BLOCK
-        register_simple(self.compiler, self.sources, self.settings, self.runtime)
+        self.output = register_simple(
+            self.compiler, self.sources, self.settings, self.runtime)
         self.request = VerificationRequest(sources=self.sources, settings=self.settings)
 
+    def extract(self, request=None, baseline=None, artifact="runtime"):
+        return differential_extract(
+            self.compiler, request or self.request, baseline or self.output,
+            (artifact,))[artifact]
+
     def test_benign_spans_match_pattern_scan(self):
-        spans = differential_extract(self.compiler, self.request)
+        spans = self.extract()
         assert [(s.start, s.end) for s in spans] == \
             [(s.start, s.end) for s in scan_metadata(self.runtime)]
         assert all(s.source is SpanSource.DIFFERENTIAL for s in spans)
@@ -224,7 +230,7 @@ class TestDifferential:
             creation_code=make_creation_code(self.runtime),
             runtime_template=self.runtime)
         self.compiler.register(perturbed, self.settings, out)
-        assert differential_extract(self.compiler, self.request) == []
+        assert self.extract() == []
 
     def test_mislabel_when_source_references_injected_library(self):
         # attacker's runtime carries a stray 0xa2 then an 0xFF in real code;
@@ -234,7 +240,7 @@ class TestDifferential:
         lib_region = bytes.fromhex("11111111")
         runtime = BODY + stray + lib_region + bytes(49) + BLOCK
         sources = {"box.sol": "contract Box { /* uses L_Box */ }"}
-        register_simple(self.compiler, sources, self.settings, runtime)
+        baseline = register_simple(self.compiler, sources, self.settings, runtime)
 
         # the perturbed build differs in the library region AND the hash
         perturbed_runtime = bytearray(runtime)
@@ -251,7 +257,7 @@ class TestDifferential:
                 runtime_template=bytes(perturbed_runtime)))
 
         request = VerificationRequest(sources=sources, settings=self.settings)
-        spans = differential_extract(self.compiler, request)
+        spans = self.extract(request, baseline)
         strict = {(s.start, s.end) for s in scan_metadata(runtime)}
         naive = {(s.start, s.end) for s in spans}
         assert not naive <= strict, "naive labeler must diverge on this fixture"
@@ -267,40 +273,53 @@ class TestDifferential:
         # [10, 63) and [30, 83): one embedded span covers both
         runtime = bytearray(b"\x60" * 120)
         runtime[10] = runtime[30] = 0xA2
-        register_simple(self.compiler, self.sources, self.settings, bytes(runtime))
+        baseline = register_simple(
+            self.compiler, self.sources, self.settings, bytes(runtime))
         perturbed = dict(self.sources)
         perturbed[INJECTED_FILENAME] = "library L_Box {}\n"
         changed = bytearray(runtime)
         changed[12] = changed[70] = 0x61
         register_simple(self.compiler, perturbed, self.settings, bytes(changed))
-        spans = differential_extract(self.compiler, self.request)
+        spans = self.extract(baseline=baseline)
         assert [(s.start, s.end, s.kind) for s in spans] == [
             (10, 83, MetadataKind.EMBEDDED)]
 
     def test_diff_without_block_start_is_nonconvergent(self):
         # difference in a region with no 0xa2 anywhere nearby
         runtime = bytes.fromhex("60") * 200
-        register_simple(self.compiler, self.sources, self.settings, runtime)
+        baseline = register_simple(
+            self.compiler, self.sources, self.settings, runtime)
         perturbed = dict(self.sources)
         perturbed[INJECTED_FILENAME] = "library L_Box {}\n"
         changed = bytearray(runtime)
         changed[100] = 0x61
         register_simple(self.compiler, perturbed, self.settings, bytes(changed))
         with pytest.raises(NonConvergentError):
-            differential_extract(self.compiler, self.request)
+            self.extract(baseline=baseline)
 
     def test_length_change_is_nonconvergent(self):
         perturbed = dict(self.sources)
         perturbed[INJECTED_FILENAME] = "library L_Box {}\n"
         register_simple(self.compiler, perturbed, self.settings, self.runtime + b"\x00")
         with pytest.raises(NonConvergentError):
-            differential_extract(self.compiler, self.request)
+            self.extract()
 
     def test_creation_artifact_also_labeled(self):
-        spans = differential_extract(self.compiler, self.request, artifact="creation")
+        spans = self.extract(artifact="creation")
         # creation embeds the runtime at offset 12, so its copy of the block moves
         assert spans
         assert spans[0].start == 12 + len(BODY)
+
+    def test_both_artifacts_from_one_perturbed_compile(self, monkeypatch):
+        compiled = []
+        real = self.compiler.compile
+        monkeypatch.setattr(self.compiler, "compile",
+                            lambda *a: compiled.append(a) or real(*a))
+        both = differential_extract(self.compiler, self.request, self.output,
+                                    ("creation", "runtime"))
+        assert len(compiled) == 1 and INJECTED_FILENAME in compiled[0][0]
+        assert both == {"creation": self.extract(artifact="creation"),
+                        "runtime": self.extract()}
 
 
 class TestFixtureCompiler:

@@ -17,6 +17,7 @@ from srcverify.compiler import (
 )
 from srcverify.errors import (
     AbsolutePathError,
+    CorruptRecordError,
     DuplicateAfterNormalizationError,
     EmptyLocalBytecodeError,
     ForeignReturnDataError,
@@ -341,6 +342,31 @@ class TestSubmitVerification:
         assert w.store.load(victim.address).sources["a.sol"] == "contract Evil {}"
         assert w.store.verify_integrity(victim.address) == ["a.sol"]
 
+    @pytest.mark.parametrize("config", [NAIVE_SOURCIFY_LIKE,
+                                        NAIVE_BLOCKSCOUT_LIKE],
+                             ids=lambda c: c.name)
+    def test_overwritten_manifest_is_a_corrupt_record(self, config, tmp_path):
+        w = build(config, tmp_path)
+        victim = VerificationRecord(
+            address="0x" + "11" * 20, grade=Grade.EXACT,
+            sources={"a.sol": "contract Victim {}"},
+            fully_qualified_target="a.sol:Victim", settings={},
+            code_hash_at_verification=bytes(32))
+        w.store.store_record(victim)
+        evil = dict(w.request.sources)
+        evil[f"../../../exact/{victim.address}/record"] = "contract Evil {}"
+        w.compiler.register(evil, w.settings, w.output)
+        w.service.submit_verification(VerificationRequest(
+            sources=evil, settings=w.settings, address=w.address))
+        with pytest.raises(CorruptRecordError):
+            w.service.query(victim.address)
+        with pytest.raises(CorruptRecordError):
+            w.store.verify_integrity(victim.address)
+        # the lookup never parses the clobbered manifest: it lacks the hash
+        clone = w.chain.mock_deploy(RUNTIME, w.output.creation_code)
+        inherited = w.service.inherit_identical_runtime(clone)
+        assert f"inherited-from:0x{w.address.hex()}" in inherited.warnings
+
     def test_naive_path_into_another_manifest_refused_without_leftovers(
             self, tmp_path):
         w = build(NAIVE_SOURCIFY_LIKE, tmp_path)
@@ -458,6 +484,32 @@ class TestSubmitVerification:
         record = w.service.submit_verification(w.request)
         assert record.grade is Grade.EXACT
         assert "unverified-immutable:rate" in record.warnings
+
+
+class CountingCompiler(FixtureCompiler):
+    def __init__(self):
+        super().__init__()
+        self.compiles = 0
+
+    def compile(self, sources, settings):
+        self.compiles += 1
+        return super().compile(sources, settings)
+
+
+class TestDifferentialLabeling:
+    @pytest.mark.parametrize("config", [
+        NAIVE_BLOCKSCOUT_LIKE,
+        dataclasses.replace(NAIVE_BLOCKSCOUT_LIKE,
+                            requirement=Requirement.EITHER)],
+        ids=["creation-only", "either"])
+    def test_one_perturbed_compile_per_submit(self, config, tmp_path):
+        w = build(config, tmp_path)
+        compiler = CountingCompiler()
+        compiler.register(w.sources, w.settings, w.output)
+        w.service.compiler = compiler
+        record = w.service.submit_verification(w.request)
+        assert record.grade is Grade.EXACT
+        assert compiler.compiles == 2  # the sources, then the perturbed ones
 
 
 class TestQuery:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import keccak256_oracle, template_deviation_oracle
+from oracles import jumpdest_oracle, keccak256_oracle, template_deviation_oracle
 from srcverify.errors import (
     BadJumpDestinationError,
     CreationDidNotReturnError,
@@ -25,6 +25,7 @@ from srcverify.simulator import (
     ExecutionEnv,
     HaltReason,
     ImmutableRef,
+    _valid_jumpdests,
     backfill_immutables_from_chain,
     execute_creation,
     resolve_immutables_by_simulation,
@@ -196,6 +197,28 @@ class TestControlFlow:
             execute_creation(b"\xf1")  # CALL
         with pytest.raises(UnsupportedOpcodeError):
             execute_creation(b"\x5f")  # PUSH0
+
+
+# code dense in the bytes that steer the walk: JUMPDEST, PUSHn and 0x5b data
+steering_code = (st.binary(max_size=300)
+                 | st.lists(st.sampled_from([0x5B, 0x60, 0x61, 0x7F, 0x00]),
+                            max_size=120).map(bytes))
+
+
+class TestJumpDestinations:
+    @given(steering_code)
+    def test_agrees_with_per_byte_walk(self, code):
+        assert _valid_jumpdests(code) == jumpdest_oracle(code)
+
+    @pytest.mark.parametrize("code, expected", [
+        ("605b5b", {2}),             # 0x5b as PUSH1 data, then a JUMPDEST
+        ("5b615b", {0}),             # a final PUSH2 cut short over 0x5b
+        ("7f" + "5b" * 31, set()),   # a final PUSH32 cut short, all 0x5b
+        ("7f" + "00" * 32 + "5b", {33}),
+        ("", set()),
+    ])
+    def test_push_data_is_stepped_over(self, code, expected):
+        assert _valid_jumpdests(bytes.fromhex(code)) == expected
 
 
 class TestEnvironmentAndData:

@@ -1,11 +1,19 @@
 """Record store: layout, replacement lattice, integrity digests."""
 
+import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import code_hash_lookup_oracle
+from srcverify import store as store_module
 from srcverify._keccak import keccak256
 from srcverify.errors import (
+    CorruptRecordError,
     DuplicateAfterNormalizationError,
     NotVerifiedError,
     ReplacementDeniedError,
@@ -204,6 +212,40 @@ class TestReplacementLattice:
             t.join()
         assert sorted(outcomes) == ["denied", "stored"]
 
+    def test_shared_locks_keep_one_winner_per_address(self, tmp_path):
+        store = RecordStore(tmp_path)
+        addresses = ["0x" + f"{i:02x}" * 20 for i in range(1, 5)]
+        outcomes = {a: [] for a in addresses}
+
+        def submit(address, stamp):
+            try:
+                store.store_record(record(address, timestamp=stamp))
+                outcomes[address].append("stored")
+            except ReplacementDeniedError:
+                outcomes[address].append("denied")
+
+        threads = [threading.Thread(target=submit, args=(a, float(i)))
+                   for i in range(3) for a in addresses]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(sorted(o) == ["denied", "denied", "stored"]
+                   for o in outcomes.values())
+
+    def test_lock_count_does_not_grow_with_addresses(self, tmp_path):
+        store = RecordStore(tmp_path)
+        addresses = ["0x" + f"{i:040x}" for i in range(1000)]
+        locks = {store._lock_for(a) for a in addresses}
+        assert len(locks) <= store_module._WRITE_LOCKS < len(addresses)
+        assert all(store._lock_for(a) is store._lock_for(a) for a in addresses)
+
 
 class TestIntegrity:
     def test_clean_record_has_no_tampering(self, tmp_path):
@@ -242,3 +284,94 @@ class TestIntegrity:
         assert first == store.snapshot()
         store.store_record(record(ATTACKER))
         assert first != store.snapshot()
+
+
+WANTED = keccak256(b"wanted runtime")
+WANTED_HEX = "0x" + WANTED.hex()
+LOOKUP_ADDRESSES = ["0x" + f"{i:02x}" * 20 for i in range(1, 6)]
+
+
+@st.composite
+def grade_entries(draw, address, grade):
+    """What one grade directory of an address holds."""
+    kind = draw(st.sampled_from(["absent", "record", "no-manifest",
+                                 "record-dir"]))
+    if kind != "record":
+        return kind
+    # sources, warnings and settings may spell the wanted hash too
+    return record(
+        address, grade=grade,
+        code_hash_at_verification=draw(st.sampled_from(
+            [WANTED, keccak256(b"other runtime")])),
+        sources=draw(st.sampled_from([
+            {"a.sol": "contract A {}"},
+            {"a.sol": f"// {WANTED_HEX}"},
+            {f"{WANTED_HEX}.sol": "contract A {}"}])),
+        warnings=draw(st.sampled_from(
+            [[], [WANTED_HEX], [f"inherited-from:{WANTED_HEX}"]])),
+        settings=draw(st.sampled_from([{}, {"codeHash": WANTED_HEX}])))
+
+
+LOOKUP_CELLS = [(address, grade) for address in LOOKUP_ADDRESSES
+                for grade in (Grade.EXACT, Grade.PARTIAL)]
+store_layouts = st.tuples(*(grade_entries(a, g) for a, g in LOOKUP_CELLS))
+
+
+def place(root: Path, address: str, grade: Grade, entry) -> None:
+    """Put one drawn grade entry on disk.  Records are written beside the
+    store and moved in, past the replacement lattice, so an address can
+    hold both grades."""
+    directory = root / grade.value / address
+    if entry == "no-manifest":
+        (directory / "sources").mkdir(parents=True)
+        (directory / "sources" / "a.sol").write_text("x")
+    elif entry == "record-dir":
+        (directory / "record").mkdir(parents=True)
+    elif isinstance(entry, VerificationRecord):
+        side = RecordStore(root.parent / "side")
+        side.store_record(entry)
+        directory.parent.mkdir(parents=True, exist_ok=True)
+        (side.root / grade.value / address).rename(directory)
+
+
+class TestCodeHashLookup:
+    @settings(max_examples=60)
+    @given(store_layouts)
+    def test_agrees_with_parsing_every_manifest(self, entries):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "store"
+            for (address, grade), entry in zip(LOOKUP_CELLS, entries):
+                place(root, address, grade, entry)
+            found = RecordStore(root).find_by_code_hash(WANTED)
+            assert [(r.address, r.grade.value) for r in found] == \
+                code_hash_lookup_oracle(root, WANTED)
+            assert all(r.code_hash_at_verification == WANTED for r in found)
+
+
+class TestCorruptManifest:
+    def _clobbered(self, tmp_path, text):
+        store = RecordStore(tmp_path)
+        store.store_record(record(VICTIM, grade=Grade.EXACT))
+        (tmp_path / "exact" / VICTIM / "record").write_text(text)
+        return store
+
+    @pytest.mark.parametrize("text", ["contract Evil {}", "", "[1]", "{}",
+                                      '{"sourceDigests": 5}'])
+    def test_load_and_integrity_raise_corrupt_record(self, tmp_path, text):
+        store = self._clobbered(tmp_path, text)
+        with pytest.raises(CorruptRecordError):
+            store.load(VICTIM)
+        with pytest.raises(CorruptRecordError):
+            store.verify_integrity(VICTIM)
+
+    def test_lookup_reads_past_a_manifest_without_the_hash(self, tmp_path):
+        store = self._clobbered(tmp_path, "contract Evil {}")
+        shared = keccak256(b"runtime")
+        store.store_record(record(ATTACKER, code_hash_at_verification=shared))
+        assert [d.address for d in store.find_by_code_hash(shared)] == [ATTACKER]
+
+    def test_lookup_raises_on_a_broken_manifest_with_the_hash(self, tmp_path):
+        shared = keccak256(b"runtime")
+        store = self._clobbered(tmp_path, f'{{"codeHash": "0x{shared.hex()}",')
+        with pytest.raises(CorruptRecordError):
+            store.find_by_code_hash(shared)
