@@ -1,8 +1,9 @@
 """Executable exploit scenarios against the verifier profiles.
 
-Eight scenarios (R1..R8) each stage a deception on a fresh mock chain and
-record store, run the attacker's submissions through a VerifyService built
-from the profile under test, and evaluate an observable predicate:
+Eight scenarios (R1..R8) each stage a deception in a fresh Lab (a mock
+chain, fixture compiler, record store and a VerifyService built from the
+profile under test), run the attacker's submissions through the service,
+and evaluate an observable predicate:
 
   R1-R3  a record ends up holding sources the deployer never wrote
   R4-R7  what the service stores or displays diverges from live chain or
@@ -16,8 +17,12 @@ counterpart) and flip_field() both read it.
 filter_r1_candidates() narrows a bytecode corpus to codes whose trailing
 0.4-era metadata block makes them replayable by a hand-written twin.
 
-Every scenario runs on its own chain, compiler, and store, so scenarios can
-run in parallel.
+A scenario body stages through Lab.deploy and Lab.request and returns a
+Verdict: evidence, plus the causes that blocked the attack (the
+VerifierError a guard raised, or a guard name), none if it was exploited.
+run_poc alone turns a Verdict into an ExploitOutcome with guard names, and
+saves the exported chain.json once the body has returned.  Every scenario
+runs in its own Lab, so scenarios can run in parallel.
 """
 
 from __future__ import annotations
@@ -84,8 +89,7 @@ class PocScenario:
     setup: str
     attack: str
     success_predicate: str
-    run: Callable[[VerifierConfig, Path, Path | None], "ExploitOutcome"] = field(
-        repr=False, compare=False)
+    run: Callable[["Lab"], "Verdict"] = field(repr=False, compare=False)
 
     def describe(self) -> dict:
         return {
@@ -114,258 +118,238 @@ class ExploitOutcome:
         return "exploited" if self.exploited else "blocked"
 
 
-def _guard_names(exc: VerifierError) -> tuple[str, ...]:
-    names = [type(exc).__name__.removesuffix("Error")]
-    for cause in getattr(exc, "causes", ()):
-        names.append(type(cause).__name__.removesuffix("Error"))
+class Verdict(NamedTuple):
+    """What a scenario body observed against the profile under test.
+
+    The attack was blocked exactly when causes names what blocked it: each
+    cause is a VerifierError a guard raised, or a guard's name.
+    """
+
+    evidence: str
+    causes: tuple[VerifierError | str, ...] = ()
+
+
+def _guard_names(causes: tuple[VerifierError | str, ...]) -> tuple[str, ...]:
+    """Each guard once: an error names its class and its own causes' classes."""
+    names = []
+    for cause in causes:
+        if isinstance(cause, str):
+            names.append(cause)
+            continue
+        for exc in (cause, *getattr(cause, "causes", ())):
+            names.append(type(exc).__name__.removesuffix("Error"))
     return tuple(dict.fromkeys(names))
 
 
-def _world(config: VerifierConfig, root: Path, subdir: str = "records",
-           chain: MockChain | None = None):
-    compiler = FixtureCompiler()
-    chain = chain if chain is not None else MockChain()
-    store = RecordStore(root / subdir)
-    service = VerifyService(config, compiler, chain, store)
-    return service, compiler, chain, store
+class Lab:
+    """One scenario's world: a fresh chain, compiler, store and a service
+    under the profile being tested, and the folder requests export to."""
 
+    def __init__(self, config: VerifierConfig, root: Path, export: Path | None):
+        self.config = config
+        self.root = root
+        self.export = export
+        self.chain = MockChain()
+        self.compiler = FixtureCompiler()
+        self.store = RecordStore(root / "records")
+        self.service = VerifyService(config, self.compiler, self.chain, self.store)
 
-def _note_request(export: Path | None, name: str,
-                  request: VerificationRequest) -> None:
-    if export is not None:
-        (export / f"request-{name}.json").write_text(request.to_json())
+    def deploy(self, runtime: bytes, deployer: bytes) -> bytes:
+        """Place runtime on the chain behind the fixture constructor."""
+        return self.chain.mock_deploy(runtime, make_creation_code(runtime),
+                                      deployer=deployer)
 
+    def request(self, sources: dict[str, str], target: str,
+                output: CompilationOutput, address: bytes, *,
+                export_as: str | None = None) -> VerificationRequest:
+        """Make sources compile to output, and ask to verify them at address.
 
-def _note_chain(export: Path | None, chain: MockChain) -> None:
-    if export is not None:
-        chain.save_fixture(export / "chain.json")
+        With export_as the request is also written to the export folder.
+        """
+        settings = CompileSettings(target=target)
+        self.compiler.register(sources, settings, output)
+        request = VerificationRequest(sources=sources, settings=settings,
+                                      address=address)
+        if export_as is not None and self.export is not None:
+            (self.export / f"request-{export_as}.json").write_text(request.to_json())
+        return request
 
 
 # --- scenario bodies ---
-#
-# Metadata digests and the R4 salt need only be distinct 32-byte values;
-# sha2-256 is also what solc puts in its IPFS metadata multihash.
 
 _BODY = bytes.fromhex("6080604052600a600055")
+_VICTIM = bytes.fromhex("11" * 20)
+_ATTACKER = bytes.fromhex("bb" * 20)
 
 
-def _run_r1(config, root, export):
+def _metadata(label: bytes) -> bytes:
+    """A metadata block whose digest is sha2-256 of label.
+
+    Digests (and the R4 salt) need only be distinct 32-byte values; sha2-256
+    is also what solc puts in its IPFS metadata multihash.
+    """
+    return make_metadata_block(sha256(label).digest())
+
+
+def _compiled(runtime: bytes, **extra) -> CompilationOutput:
+    """Output whose creation code is the fixture constructor for runtime."""
+    return CompilationOutput(creation_code=make_creation_code(runtime),
+                             runtime_template=runtime, **extra)
+
+
+def _run_r1(lab: Lab) -> Verdict:
     """Hand-assembled twin earns a partial match, inheritance labels the victim."""
-    victim_runtime = _BODY + make_metadata_block(
-        sha256(b"victim project build").digest())
-    forged_runtime = _BODY + make_metadata_block(
-        sha256(b"hand-assembled twin").digest())
-    service, compiler, chain, store = _world(config, root)
-
-    victim = chain.mock_deploy(victim_runtime, make_creation_code(victim_runtime),
-                               deployer=bytes.fromhex("11" * 20))
-    twin = chain.mock_deploy(victim_runtime, make_creation_code(victim_runtime),
-                             deployer=bytes.fromhex("bb" * 20))
-    _note_chain(export, chain)
+    victim_runtime = _BODY + _metadata(b"victim project build")
+    forged_runtime = _BODY + _metadata(b"hand-assembled twin")
+    victim = lab.deploy(victim_runtime, _VICTIM)
+    twin = lab.deploy(victim_runtime, _ATTACKER)
 
     sources = {"asm/twin.sol": "contract Twin { /* verbatim runtime bytes */ }\n"}
-    settings = CompileSettings(target="asm/twin.sol:Twin")
-    compiler.register(sources, settings, CompilationOutput(
-        creation_code=make_creation_code(forged_runtime),
-        runtime_template=forged_runtime,
-        uses_inline_assembly=True))
-    request = VerificationRequest(sources=sources, settings=settings, address=twin)
-    _note_request(export, "twin", request)
-
+    request = lab.request(
+        sources, "asm/twin.sol:Twin",
+        _compiled(forged_runtime, uses_inline_assembly=True), twin,
+        export_as="twin")
     try:
-        twin_record = service.submit_verification(request)
+        twin_record = lab.service.submit_verification(request)
     except VerifierError as exc:
-        return ExploitOutcome("R1", config.name, False, _guard_names(exc),
-                              f"twin submission rejected: {exc}")
+        return Verdict(f"twin submission rejected: {exc}", (exc,))
     try:
-        service.inherit_identical_runtime(victim)
+        lab.service.inherit_identical_runtime(victim)
     except NoDonorError as exc:
-        return ExploitOutcome(
-            "R1", config.name, False, _guard_names(exc),
+        return Verdict(
             "victim address stays unlabeled; the twin's record is quarantined "
-            f"behind warnings {twin_record.warnings}")
-    labeled = store.load(victim)
+            f"behind warnings {twin_record.warnings}", (exc,))
+    labeled = lab.store.load(victim)
     assert labeled.sources == sources
-    return ExploitOutcome(
-        "R1", config.name, True, (),
+    return Verdict(
         f"victim 0x{victim.hex()} auto-labeled grade={labeled.grade.value} with "
         "attacker sources after a metadata-swap partial match on the twin")
 
 
-def _run_r2(config, root, export):
+def _run_r2(lab: Lab) -> Verdict:
     """Constructor that returns someone else's runtime bytes."""
-    victim_runtime = _BODY + make_metadata_block(sha256(b"victim defi build").digest())
-    service, compiler, chain, store = _world(config, root)
-    victim = chain.mock_deploy(victim_runtime, make_creation_code(victim_runtime),
-                               deployer=bytes.fromhex("11" * 20))
-    _note_chain(export, chain)
+    victim_runtime = _BODY + _metadata(b"victim defi build")
+    victim = lab.deploy(victim_runtime, _VICTIM)
 
-    claimed = bytes.fromhex("6001600101") + make_metadata_block(
-        sha256(b"forwarder claim").digest())
-    sources = {"exploit/forwarder.sol":
-               "contract Forwarder { constructor() { /* early return */ } }\n"}
-    settings = CompileSettings(target="exploit/forwarder.sol:Forwarder")
-    output = CompilationOutput(
-        creation_code=make_creation_code(
-            victim_runtime,
-            extra=make_metadata_block(sha256(b"forwarder wrapper").digest())),
-        runtime_template=claimed)
-    compiler.register(sources, settings, output)
-    request = VerificationRequest(sources=sources, settings=settings,
-                                  address=victim)
-    _note_request(export, "forwarder", request)
-
-    guards: tuple[str, ...] = ()
+    claimed = bytes.fromhex("6001600101") + _metadata(b"forwarder claim")
+    request = lab.request(
+        {"exploit/forwarder.sol":
+         "contract Forwarder { constructor() { /* early return */ } }\n"},
+        "exploit/forwarder.sol:Forwarder",
+        CompilationOutput(
+            creation_code=make_creation_code(
+                victim_runtime, extra=_metadata(b"forwarder wrapper")),
+            runtime_template=claimed),
+        victim, export_as="forwarder")
     try:
-        record = service.submit_verification(request)
-        return ExploitOutcome(
-            "R2", config.name, True, (),
+        record = lab.service.submit_verification(request)
+    except VerifierError as exc:
+        if not lab.config.accept_imported_records:
+            return Verdict(
+                "foreign constructor return rejected and no import path exists",
+                (exc,))
+    else:
+        return Verdict(
             f"attacker sources stored for victim 0x{victim.hex()} at grade "
             f"{record.grade.value}; the claimed template never matched the chain")
-    except VerifierError as exc:
-        guards = _guard_names(exc)
 
-    if config.accept_imported_records:
-        sidecar_service, sidecar_compiler, _, sidecar_store = _world(
-            NAIVE_SOURCIFY_LIKE, root, subdir="sidecar", chain=chain)
-        sidecar_compiler.register(sources, settings, output)
-        sidecar_service.submit_verification(request)
-        service.import_store(sidecar_store)
-        record = store.load(victim)
-        assert record.sources == sources
-        return ExploitOutcome(
-            "R2", config.name, True, (),
-            "direct submission failed but the poisoned record was adopted "
-            "wholesale from a naive sidecar store")
-    return ExploitOutcome(
-        "R2", config.name, False, guards,
-        "foreign constructor return rejected and no import path exists")
+    sidecar = RecordStore(lab.root / "sidecar")
+    VerifyService(NAIVE_SOURCIFY_LIKE, lab.compiler, lab.chain,
+                  sidecar).submit_verification(request)
+    lab.service.import_store(sidecar)
+    assert lab.store.load(victim).sources == request.sources
+    return Verdict(
+        "direct submission failed but the poisoned record was adopted "
+        "wholesale from a naive sidecar store")
 
 
-def _run_r3(config, root, export):
+def _run_r3(lab: Lab) -> Verdict:
     """Abstract contract with zero local bytecode claims a live deployment."""
-    victim_runtime = _BODY + make_metadata_block(
-        sha256(b"victim wallet build").digest())
-    service, compiler, chain, store = _world(config, root)
-    victim = chain.mock_deploy(victim_runtime, make_creation_code(victim_runtime),
-                               deployer=bytes.fromhex("11" * 20))
-    _note_chain(export, chain)
-
-    sources = {"abstract/hollow.sol":
-               "abstract contract Hollow { function f() external virtual; }\n"}
-    settings = CompileSettings(target="abstract/hollow.sol:Hollow")
-    compiler.register(sources, settings, CompilationOutput(
-        creation_code=b"", runtime_template=b""))
-    request = VerificationRequest(sources=sources, settings=settings,
-                                  address=victim)
-    _note_request(export, "hollow", request)
-
+    victim_runtime = _BODY + _metadata(b"victim wallet build")
+    victim = lab.deploy(victim_runtime, _VICTIM)
+    request = lab.request(
+        {"abstract/hollow.sol":
+         "abstract contract Hollow { function f() external virtual; }\n"},
+        "abstract/hollow.sol:Hollow",
+        CompilationOutput(creation_code=b"", runtime_template=b""),
+        victim, export_as="hollow")
     try:
-        record = service.submit_verification(request)
+        record = lab.service.submit_verification(request)
     except VerifierError as exc:
-        return ExploitOutcome("R3", config.name, False, _guard_names(exc),
-                              f"empty local bytecode rejected: {exc}")
-    return ExploitOutcome(
-        "R3", config.name, True, (),
+        return Verdict(f"empty local bytecode rejected: {exc}", (exc,))
+    return Verdict(
         f"zero-byte compilation graded {record.grade.value} for victim "
         f"0x{victim.hex()}; every byte of the creation tx passed as 'arguments'")
 
 
-def _run_r4(config, root, export):
+def _run_r4(lab: Lab) -> Verdict:
     """Metamorphic redeploy: same address, different code, stale record."""
     factory = bytes.fromhex("fa" * 20)
     salt = sha256(b"metamorphic slot").digest()
-    v1 = _BODY + make_metadata_block(sha256(b"honest vault v1").digest())
-    v2 = bytes.fromhex("33ff") + make_metadata_block(sha256(b"drainer v2").digest())
-    service, compiler, chain, store = _world(config, root)
+    v1 = _BODY + _metadata(b"honest vault v1")
+    v2 = bytes.fromhex("33ff") + _metadata(b"drainer v2")
+    output = _compiled(v1)
+    address = lab.chain.mock_create2_deploy(factory, salt, output.creation_code, v1)
+    request = lab.request(
+        {"vault/vault.sol": "contract Vault { uint256 shares; }\n"},
+        "vault/vault.sol:Vault", output, address, export_as="vault")
+    record = lab.service.submit_verification(request)
 
-    sources = {"vault/vault.sol": "contract Vault { uint256 shares; }\n"}
-    settings = CompileSettings(target="vault/vault.sol:Vault")
-    output = CompilationOutput(creation_code=make_creation_code(v1),
-                               runtime_template=v1)
-    compiler.register(sources, settings, output)
-    address = chain.mock_create2_deploy(factory, salt, output.creation_code, v1)
-    request = VerificationRequest(sources=sources, settings=settings,
-                                  address=address)
-    _note_request(export, "vault", request)
-    record = service.submit_verification(request)
-
-    chain.mock_selfdestruct(address)
-    revived = chain.mock_create2_deploy(factory, salt, output.creation_code, v2)
+    lab.chain.mock_selfdestruct(address)
+    revived = lab.chain.mock_create2_deploy(factory, salt, output.creation_code, v2)
     if revived != address:
         raise SetupFailureError("create2 revival produced a different address")
-    _note_chain(export, chain)
 
     try:
-        view = service.query(address)
+        view = lab.service.query(address)
     except StaleRecordError as exc:
-        lenient = service.query(address, strict=False)
-        return ExploitOutcome(
-            "R4", config.name, False, _guard_names(exc),
+        lenient = lab.service.query(address, strict=False)
+        return Verdict(
             f"read-time recheck stamped the record {lenient.freshness.value} "
-            "and refused to serve it as current")
-    live_hash = chain.get_code_hash(address)
-    assert live_hash != record.code_hash_at_verification
-    return ExploitOutcome(
-        "R4", config.name, True, (),
+            "and refused to serve it as current", (exc,))
+    assert lab.chain.get_code_hash(address) != record.code_hash_at_verification
+    return Verdict(
         f"query serves the v1 sources with no staleness signal "
         f"(freshness={view.freshness}) although the code at 0x{address.hex()} "
         "was destroyed and replaced")
 
 
-def _run_r5(config, root, export):
+def _run_r5(lab: Lab) -> Verdict:
     """Linked library address hosts code nobody verified; no one is told."""
-    lib_runtime = bytes.fromhex("33ff") + make_metadata_block(
-        sha256(b"scam math lib").digest())
-    service, compiler, chain, store = _world(config, root)
-    library = chain.mock_deploy(lib_runtime, bytes.fromhex("00"),
-                                deployer=bytes.fromhex("bb" * 20))
+    lib_runtime = bytes.fromhex("33ff") + _metadata(b"scam math lib")
+    library = lab.chain.mock_deploy(lib_runtime, bytes.fromhex("00"),
+                                    deployer=_ATTACKER)
 
     template = (b"\x60\x80" + b"\x73" + bytes(20) + b"\x00"
-                + make_metadata_block(sha256(b"vault with lib").digest()))
+                + _metadata(b"vault with lib"))
     linked = bytearray(template)
     linked[3:23] = library
-    sources = {
-        "contracts/vault.sol": "contract Vault { /* uses SafeMath */ }\n",
-        "lib/safemath.sol": "library SafeMath { /* looks audited */ }\n",
-    }
-    settings = CompileSettings(target="contracts/vault.sol:Vault")
-    output = CompilationOutput(
-        creation_code=make_creation_code(template),
-        runtime_template=template,
-        link_refs=[PlaceholderSpan(3, "lib/safemath.sol", "SafeMath",
-                                   PlaceholderForm.LEGACY)])
-    compiler.register(sources, settings, output)
+    output = _compiled(template, link_refs=[PlaceholderSpan(
+        3, "lib/safemath.sol", "SafeMath", PlaceholderForm.LEGACY)])
     # the mock records the unlinked creation as tx input: the factory-style
     # deploy keeps the creation leg byte-identical on every profile
-    address = chain.mock_deploy(bytes(linked), output.creation_code)
-    _note_chain(export, chain)
-    request = VerificationRequest(sources=sources, settings=settings,
-                                  address=address)
-    _note_request(export, "vault", request)
-
+    address = lab.chain.mock_deploy(bytes(linked), output.creation_code)
+    request = lab.request(
+        {"contracts/vault.sol": "contract Vault { /* uses SafeMath */ }\n",
+         "lib/safemath.sol": "library SafeMath { /* looks audited */ }\n"},
+        "contracts/vault.sol:Vault", output, address, export_as="vault")
     try:
-        record = service.submit_verification(request)
+        record = lab.service.submit_verification(request)
     except VerifierError as exc:
-        return ExploitOutcome("R5", config.name, False, _guard_names(exc),
-                              f"submission rejected outright: {exc}")
+        return Verdict(f"submission rejected outright: {exc}", (exc,))
     flagged = [w for w in record.warnings
                if w.startswith(UNVERIFIED_LIBRARY_WARNING)]
     if flagged:
-        return ExploitOutcome(
-            "R5", config.name, False, (UNVERIFIED_LIBRARY_WARNING,),
-            f"record stored but the binding is called out: {flagged[0]}")
-    return ExploitOutcome(
-        "R5", config.name, True, (),
+        return Verdict(
+            f"record stored but the binding is called out: {flagged[0]}",
+            (UNVERIFIED_LIBRARY_WARNING,))
+    return Verdict(
         f"record binds library at 0x{library.hex()} whose live code was never "
         "verified, and carries no warning about it")
 
 
-def _run_r6(config, root, export):
+def _run_r6(lab: Lab) -> Verdict:
     """Comparison-masking abuse: regex spillover and differential mislabel."""
-    service, compiler, chain, store = _world(config, root)
-    guards: list[str] = []
-
     # arm one: a link table whose placeholder text is a regex that also
     # matches the owner constant, so naive linking rewrites both sites
     controller = bytes.fromhex("ab" * 20)
@@ -375,158 +359,109 @@ def _run_r6(config, root, export):
     onchain = (bytes.fromhex("6080604052") + b"\x73" + controller
                + bytes.fromhex("601457") + b"\x73" + controller
                + bytes.fromhex("5b600055f3"))
-    puzzle_sources = {"contracts/puzzle.sol":
-                      "contract Puzzle { address constant OWNER = "
-                      "0x2222222222222222222222222222222222222222; }\n"}
-    puzzle_settings = CompileSettings(target="contracts/puzzle.sol:Puzzle")
-    compiler.register(puzzle_sources, puzzle_settings, CompilationOutput(
-        creation_code=make_creation_code(local),
-        runtime_template=local,
-        link_refs=[PlaceholderSpan(6, "$.{37}|2{40}|", "foo",
-                                   PlaceholderForm.LEGACY)]))
-    puzzle = chain.mock_deploy(onchain, make_creation_code(onchain),
-                               deployer=bytes.fromhex("bb" * 20))
-    puzzle_request = VerificationRequest(
-        sources=puzzle_sources, settings=puzzle_settings, address=puzzle)
-    _note_request(export, "puzzle", puzzle_request)
+    puzzle = lab.deploy(onchain, _ATTACKER)
+    request = lab.request(
+        {"contracts/puzzle.sol":
+         "contract Puzzle { address constant OWNER = "
+         "0x2222222222222222222222222222222222222222; }\n"},
+        "contracts/puzzle.sol:Puzzle",
+        _compiled(local, link_refs=[PlaceholderSpan(
+            6, "$.{37}|2{40}|", "foo", PlaceholderForm.LEGACY)]),
+        puzzle, export_as="puzzle")
     try:
-        record = service.submit_verification(puzzle_request)
-        return ExploitOutcome(
-            "R6", config.name, True, (),
+        record = lab.service.submit_verification(request)
+    except VerifierError as exc:
+        spillover_refused = exc
+    else:
+        return Verdict(
             f"stored source displays owner 0x22..22 but live code at "
             f"0x{puzzle.hex()} holds 0x{controller.hex()} at that site "
             f"(grade {record.grade.value}, regex placeholder spillover)")
-    except VerifierError as exc:
-        guards.extend(_guard_names(exc))
 
     # arm two: a stray 0xa2 in real code drags a 53-byte window into the
     # differential metadata span, masking the backdoor byte at offset 9
     innocent = (bytes.fromhex("6080604052") + b"\xa2"
                 + bytes.fromhex("6001600055") + bytes(8)
-                + make_metadata_block(sha256(b"token build").digest()))
+                + _metadata(b"token build"))
     backdoored = bytearray(innocent)
     backdoored[9] = 0xFF
-    variant = bytearray(innocent[:19] + make_metadata_block(
-        sha256(b"token build with injected lib").digest()))
+    variant = bytearray(innocent[:19] + _metadata(b"token build with injected lib"))
     variant[9] = 0x01
-    token_sources = {"contracts/token.sol":
-                     "contract Token { uint8 fee = 1; }\n"}
-    token_settings = CompileSettings(target="contracts/token.sol:Token")
-    compiler.register(token_sources, token_settings, CompilationOutput(
-        creation_code=make_creation_code(innocent), runtime_template=innocent))
-    injected = dict(token_sources)
+    token = lab.deploy(bytes(backdoored), _ATTACKER)
+    request = lab.request(
+        {"contracts/token.sol": "contract Token { uint8 fee = 1; }\n"},
+        "contracts/token.sol:Token", _compiled(innocent), token,
+        export_as="token")
+    injected = dict(request.sources)
     injected[INJECTED_FILENAME] = injected_library_source("Token")
-    compiler.register(injected, token_settings, CompilationOutput(
-        creation_code=make_creation_code(bytes(variant)),
-        runtime_template=bytes(variant)))
-    token = chain.mock_deploy(bytes(backdoored),
-                              make_creation_code(bytes(backdoored)),
-                              deployer=bytes.fromhex("bb" * 20))
-    _note_chain(export, chain)
-    token_request = VerificationRequest(
-        sources=token_sources, settings=token_settings, address=token)
-    _note_request(export, "token", token_request)
+    lab.compiler.register(injected, request.settings, _compiled(bytes(variant)))
     try:
-        record = service.submit_verification(token_request)
-        return ExploitOutcome(
-            "R6", config.name, True, (),
-            f"differential labeling masked the 0xff byte at offset 9; live "
-            f"token at 0x{token.hex()} diverges from the stored source "
-            f"(grade {record.grade.value})")
+        record = lab.service.submit_verification(request)
     except VerifierError as exc:
-        guards.extend(_guard_names(exc))
+        return Verdict(
+            "both masking arms failed: spans stay anchored to declared offsets "
+            "and scanned patterns", (spillover_refused, exc))
+    return Verdict(
+        f"differential labeling masked the 0xff byte at offset 9; live "
+        f"token at 0x{token.hex()} diverges from the stored source "
+        f"(grade {record.grade.value})")
 
-    return ExploitOutcome(
-        "R6", config.name, False, tuple(dict.fromkeys(guards)),
-        "both masking arms failed: spans stay anchored to declared offsets "
-        "and scanned patterns")
 
-
-def _run_r7(config, root, export):
+def _run_r7(lab: Lab) -> Verdict:
     """Source path that climbs out of its record and rewrites a foreign one."""
-    service, compiler, chain, store = _world(config, root)
+    treasury_runtime = _BODY + _metadata(b"treasury build")
+    treasury = lab.deploy(treasury_runtime, _VICTIM)
+    victim_record = lab.service.submit_verification(lab.request(
+        {"contracts/treasury.sol": "contract Treasury { address owner; }\n"},
+        "contracts/treasury.sol:Treasury", _compiled(treasury_runtime),
+        treasury))
 
-    treasury_runtime = _BODY + make_metadata_block(sha256(b"treasury build").digest())
-    treasury_sources = {"contracts/treasury.sol":
-                        "contract Treasury { address owner; }\n"}
-    treasury_settings = CompileSettings(target="contracts/treasury.sol:Treasury")
-    compiler.register(treasury_sources, treasury_settings, CompilationOutput(
-        creation_code=make_creation_code(treasury_runtime),
-        runtime_template=treasury_runtime))
-    treasury = chain.mock_deploy(treasury_runtime,
-                                 make_creation_code(treasury_runtime),
-                                 deployer=bytes.fromhex("11" * 20))
-    victim_record = service.submit_verification(VerificationRequest(
-        sources=treasury_sources, settings=treasury_settings, address=treasury))
-
-    shell_runtime = (bytes.fromhex("6002600055")
-                     + make_metadata_block(sha256(b"shell build").digest()))
+    shell_runtime = bytes.fromhex("6002600055") + _metadata(b"shell build")
     evil_path = (f"../../../{victim_record.grade.value}/"
                  f"{victim_record.address}/sources/contracts/treasury.sol")
-    shell_sources = {
-        "contracts/shell.sol": "contract Shell { uint256 x; }\n",
-        evil_path: "contract Treasury { address owner = tx.origin; }\n",
-    }
-    shell_settings = CompileSettings(target="contracts/shell.sol:Shell")
-    compiler.register(shell_sources, shell_settings, CompilationOutput(
-        creation_code=make_creation_code(shell_runtime),
-        runtime_template=shell_runtime))
-    shell = chain.mock_deploy(shell_runtime, make_creation_code(shell_runtime),
-                              deployer=bytes.fromhex("bb" * 20))
-    _note_chain(export, chain)
-    request = VerificationRequest(sources=shell_sources,
-                                  settings=shell_settings, address=shell)
-    _note_request(export, "shell", request)
+    shell = lab.deploy(shell_runtime, _ATTACKER)
+    request = lab.request(
+        {"contracts/shell.sol": "contract Shell { uint256 x; }\n",
+         evil_path: "contract Treasury { address owner = tx.origin; }\n"},
+        "contracts/shell.sol:Shell", _compiled(shell_runtime), shell,
+        export_as="shell")
 
-    before = store.snapshot()
+    before = lab.store.snapshot()
     try:
-        service.submit_verification(request)
+        lab.service.submit_verification(request)
     except VerifierError as exc:
-        untouched = store.snapshot() == before
-        return ExploitOutcome(
-            "R7", config.name, False, _guard_names(exc),
-            f"path rejected at intake; store unchanged: {untouched}")
-    tampered = store.verify_integrity(treasury)
+        untouched = lab.store.snapshot() == before
+        return Verdict(f"path rejected at intake; store unchanged: {untouched}",
+                       (exc,))
+    tampered = lab.store.verify_integrity(treasury)
     assert tampered == ["contracts/treasury.sol"]
-    assert "tx.origin" in store.load(treasury).sources["contracts/treasury.sol"]
-    return ExploitOutcome(
-        "R7", config.name, True, (),
+    assert "tx.origin" in lab.store.load(treasury).sources["contracts/treasury.sol"]
+    return Verdict(
         f"foreign record 0x{treasury.hex()} now serves attacker text; its "
         f"manifest digests flag {tampered} as tampered")
 
 
-def _run_r8(config, root, export):
+def _run_r8(lab: Lab) -> Verdict:
     """Two same-named contracts, one bare display name."""
-    runtime = _BODY + make_metadata_block(sha256(b"token pair build").digest())
-    service, compiler, chain, store = _world(config, root)
-    sources = {
-        "contracts/token.sol": "contract Token { function mint() internal {} }\n",
-        "test/token.sol": "contract Token { function mint() public {} }\n",
-    }
-    settings = CompileSettings(target="test/token.sol:Token")
-    compiler.register(sources, settings, CompilationOutput(
-        creation_code=make_creation_code(runtime), runtime_template=runtime))
-    address = chain.mock_deploy(runtime, make_creation_code(runtime),
-                                deployer=bytes.fromhex("bb" * 20))
-    _note_chain(export, chain)
-    request = VerificationRequest(sources=sources, settings=settings,
-                                  address=address)
-    _note_request(export, "token", request)
+    runtime = _BODY + _metadata(b"token pair build")
+    address = lab.deploy(runtime, _ATTACKER)
+    request = lab.request(
+        {"contracts/token.sol": "contract Token { function mint() internal {} }\n",
+         "test/token.sol": "contract Token { function mint() public {} }\n"},
+        "test/token.sol:Token", _compiled(runtime), address, export_as="token")
 
-    record = service.submit_verification(request)
-    view = service.query(address)
+    record = lab.service.submit_verification(request)
+    view = lab.service.query(address)
     same_named = [p for p, body in record.sources.items()
                   if "contract Token" in body]
     assert len(same_named) == 2
-    if ":" not in view.displayed_target:
-        return ExploitOutcome(
-            "R8", config.name, True, (),
-            f"view names the contract {view.displayed_target!r} and serves "
-            f"{len(view.source_files)} file(s) for {len(same_named)} "
-            "same-named declarations; a reader cannot tell which one is live")
-    return ExploitOutcome(
-        "R8", config.name, False, (DISCLOSURE_GUARD,),
-        f"view pins the identity to {view.displayed_target!r}")
+    if ":" in view.displayed_target:
+        return Verdict(f"view pins the identity to {view.displayed_target!r}",
+                       (DISCLOSURE_GUARD,))
+    return Verdict(
+        f"view names the contract {view.displayed_target!r} and serves "
+        f"{len(view.source_files)} file(s) for {len(same_named)} "
+        "same-named declarations; a reader cannot tell which one is live")
 
 
 SCENARIOS: dict[str, PocScenario] = {
@@ -645,13 +580,18 @@ def run_poc(scenario_id: str, profile: str | VerifierConfig,
         export.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=f"poc-{scenario.id.lower()}-") as tmp:
         try:
-            return scenario.run(config, Path(tmp), export)
+            lab = Lab(config, Path(tmp), export)
+            verdict = scenario.run(lab)
+            if export is not None:
+                lab.chain.save_fixture(export / "chain.json")
         except VerifierError as exc:
             raise SetupFailureError(
                 f"{scenario.id} against {config.name} leaked {type(exc).__name__}: "
                 f"{exc}") from exc
         except OSError as exc:
             raise SetupFailureError(f"{scenario.id} could not stage: {exc}") from exc
+    return ExploitOutcome(scenario.id, config.name, not verdict.causes,
+                          _guard_names(verdict.causes), verdict.evidence)
 
 
 # --- the expected exploitability table ---
@@ -876,7 +816,6 @@ def export_scenario_corpus(root: str | Path,
     for scenario_id in sorted(SCENARIOS):
         scenario = SCENARIOS[scenario_id]
         directory = root / scenario_id.lower()
-        directory.mkdir(parents=True, exist_ok=True)
         outcome = run_poc(scenario_id, profile, export_dir=directory)
         manifest = scenario.describe()
         manifest["expected"] = {

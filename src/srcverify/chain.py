@@ -19,7 +19,12 @@ from pathlib import Path
 
 from ._keccak import keccak256
 from .bytecode import parse_hex, render_hex
-from .errors import AddressOccupiedError, BackendUnavailableError, NotFoundError
+from .errors import (
+    AddressOccupiedError,
+    BackendUnavailableError,
+    MalformedFixtureError,
+    NotFoundError,
+)
 
 
 def create2_address(deployer: bytes, salt: bytes, init_code: bytes) -> bytes:
@@ -213,23 +218,52 @@ class MockChain(ChainClient):
 
     @classmethod
     def load_fixture(cls, path: str | Path) -> "MockChain":
+        """Rebuild a chain from save_fixture's output.
+
+        Anything not shaped like that output raises MalformedFixtureError.
+        """
+        try:
+            payload = json.loads(Path(path).read_text())
+        except ValueError as exc:
+            raise MalformedFixtureError(f"chain fixture {path} is not JSON") from exc
+        if not isinstance(payload, dict):
+            raise MalformedFixtureError(f"chain fixture {path} is not an object")
         chain = cls()
-        payload = json.loads(Path(path).read_text())
         for address_hex, entry in payload.items():
-            address = parse_hex(address_hex)
+            where = f"chain fixture entry {address_hex!r}"
+            address = _fixture_hex(address_hex, where, 20)
+            if not isinstance(entry, dict):
+                raise MalformedFixtureError(f"{where} is not an object")
             creations = []
             tx = entry.get("creationTx")
-            if tx:
+            if tx is not None:
+                if not isinstance(tx, dict):
+                    raise MalformedFixtureError(f"{where}: creationTx is not an object")
                 creations.append(CreationTx(
-                    parse_hex(tx["hash"]), parse_hex(tx["input"]),
-                    parse_hex(tx["deployer"])))
+                    _fixture_hex(tx.get("hash"), where, 32),
+                    _fixture_hex(tx.get("input"), where),
+                    _fixture_hex(tx.get("deployer"), where, 20)))
+            destroyed = entry.get("destroyed", False)
+            if not isinstance(destroyed, bool):
+                raise MalformedFixtureError(f"{where}: destroyed is not a boolean")
             chain._contracts[address] = ChainContract(
                 address=address,
-                runtime_code=parse_hex(entry.get("runtimeCode", "0x")),
+                runtime_code=_fixture_hex(entry.get("runtimeCode", "0x"), where),
                 creations=creations,
-                destroyed=bool(entry.get("destroyed", False)),
+                destroyed=destroyed,
             )
         return chain
+
+
+def _fixture_hex(value: object, where: str, length: int | None = None) -> bytes:
+    """One hex field of a chain fixture, of length bytes when given."""
+    if not isinstance(value, str):
+        raise MalformedFixtureError(f"{where}: {value!r} is not a hex string")
+    raw = parse_hex(value)
+    if length is not None and len(raw) != length:
+        raise MalformedFixtureError(
+            f"{where}: {value!r} is not {length} bytes")
+    return raw
 
 
 def detect_redeployment(client: ChainClient, address: bytes,

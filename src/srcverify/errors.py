@@ -100,6 +100,10 @@ class AddressOccupiedError(VerifierError):
     """Deployment target already hosts live code."""
 
 
+class MalformedFixtureError(VerifierError):
+    """A chain fixture is not shaped like MockChain.save_fixture's output."""
+
+
 # --- ABI validation ---
 
 class AbiDecodeError(VerifierError):
@@ -140,6 +144,10 @@ class InvalidConstructorArgumentsError(VerifierError):
 
 class MalformedRequestError(VerifierError):
     """Verification request violates its own invariants (target not in sources...)."""
+
+
+class MalformedAddressError(VerifierError, ValueError):
+    """An address is neither 20 bytes nor 40 hex digits."""
 
 
 class PathEscapeError(VerifierError):
@@ -185,6 +193,10 @@ class NotVerifiedError(VerifierError):
 
 class CorruptRecordError(VerifierError):
     """A stored manifest does not parse, or does not describe a record."""
+
+
+class RecordWriteError(VerifierError):
+    """The store could not write a record and removed what it had written."""
 
 
 class StaleRecordError(VerifierError):

@@ -167,6 +167,8 @@ def sanitize_path(path: str) -> str:
     write outside the record's own directory."""
     if not path or path == ".":
         raise MalformedRequestError("empty source path")
+    if "\0" in path:
+        raise MalformedRequestError(f"source path holds a NUL byte: {path!r}")
     if _SCHEME_PREFIX.match(path):
         raise AbsolutePathError(f"source path carries a URL scheme: {path!r}")
     if _DRIVE_PREFIX.match(path):

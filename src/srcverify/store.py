@@ -28,7 +28,9 @@ from typing import Iterator
 from .errors import (
     CorruptRecordError,
     DuplicateAfterNormalizationError,
+    MalformedAddressError,
     NotVerifiedError,
+    RecordWriteError,
     ReplacementDeniedError,
 )
 from .matching import Grade
@@ -48,13 +50,15 @@ def normalize_address(address: str | bytes) -> str:
     if isinstance(address, (bytes, bytearray)):
         raw = bytes(address)
         if len(raw) != 20:
-            raise ValueError(f"address must be 20 bytes, got {len(raw)}")
+            raise MalformedAddressError(f"address must be 20 bytes, got {len(raw)}")
         return "0x" + raw.hex()
+    if not isinstance(address, str):
+        raise MalformedAddressError(f"not an address: {address!r}")
     text = address.lower()
     if text.startswith("0x"):
         text = text[2:]
     if len(text) != 40 or any(c not in string.hexdigits for c in text):
-        raise ValueError(f"not a 20-byte hex address: {address!r}")
+        raise MalformedAddressError(f"not a 20-byte hex address: {address!r}")
     return "0x" + text
 
 
@@ -164,16 +168,22 @@ class RecordStore:
                         f"for {record.address}")
             try:
                 self._write(record)
-            except (FileExistsError, NotADirectoryError, IsADirectoryError) as exc:
-                # a source path ran into an entry of the other kind already
-                # on disk, which _check_layout cannot see
+            except (OSError, ValueError) as exc:
                 base = self._record_dir(record.grade, record.address)
                 if base.is_dir():
                     shutil.rmtree(base)
-                raise DuplicateAfterNormalizationError(
-                    f"record for {record.address} needs "
-                    f"{os.path.relpath(exc.filename, self.root)}, which is "
-                    f"already on disk as another kind of entry") from exc
+                if isinstance(exc, (FileExistsError, NotADirectoryError,
+                                    IsADirectoryError)):
+                    # a source path ran into an entry of the other kind
+                    # already on disk, which _check_layout cannot see
+                    raise DuplicateAfterNormalizationError(
+                        f"record for {record.address} needs "
+                        f"{os.path.relpath(exc.filename, self.root)}, which is "
+                        f"already on disk as another kind of entry") from exc
+                # a path the filesystem refuses: too long, a NUL byte, ...
+                raise RecordWriteError(
+                    f"record for {record.address} could not be written: "
+                    f"{exc}") from exc
             if found is not None:
                 shutil.rmtree(old_dir)
         return record

@@ -23,7 +23,12 @@ from srcverify.attacklab import (
     scan_config,
     export_scenario_corpus,
 )
-from srcverify.errors import MatrixMismatchError, UnknownScenarioError
+from srcverify.chain import MockChain
+from srcverify.errors import (
+    MatrixMismatchError,
+    SetupFailureError,
+    UnknownScenarioError,
+)
 from srcverify.linker import PlaceholderMode
 from srcverify.matching import MetadataLabeler
 from srcverify.metadata import make_legacy_metadata_block
@@ -94,6 +99,15 @@ class TestRunPoc:
         payload = json.loads(requests[0].read_text())
         assert payload["address"].startswith("0x")
         assert payload["sources"]
+
+    def test_setup_error_surfaces_as_setup_failure(self, monkeypatch):
+        # a selfdestruct that never lands makes R4's CREATE2 revival hit
+        # live code, so the chain raises AddressOccupiedError during set-up
+        monkeypatch.setattr(MockChain, "mock_selfdestruct",
+                            lambda self, address: None)
+        with pytest.raises(SetupFailureError,
+                           match="R4 against Hardened leaked AddressOccupiedError"):
+            run_poc("R4", HARDENED)
 
 
 class TestMatrix:
@@ -335,6 +349,12 @@ class TestCorpusExport:
             assert set(manifest["expected"]) == set(PROFILES)
             assert (directory / "chain.json").is_file()
             assert list(directory.glob("request-*.json"))
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_every_folder_holds_chain_and_requests(self, tmp_path, profile):
+        for directory in export_scenario_corpus(tmp_path, profile=profile):
+            assert (directory / "chain.json").is_file(), directory.name
+            assert list(directory.glob("request-*.json")), directory.name
 
     def test_manifest_observed_outcome_matches_expectation(self, tmp_path):
         export_scenario_corpus(tmp_path, profile=NAIVE_SOURCIFY_LIKE)

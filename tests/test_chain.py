@@ -17,6 +17,7 @@ from srcverify.chain import (
 from srcverify.errors import (
     AddressOccupiedError,
     BackendUnavailableError,
+    MalformedFixtureError,
     NotFoundError,
 )
 
@@ -169,6 +170,27 @@ class TestMockChain:
         assert loaded.get_runtime_code(b) == b""
         assert loaded.get_creation_input(a)[1] == b"\x01"
         assert loaded.get_creation_input(a)[2] == DEPLOYER
+
+    @pytest.mark.parametrize("payload", [
+        "[1, 2]",
+        '{"0x11": 5}',
+        "not json",
+        '{"0x%s": 5}' % ("11" * 20),
+        '{"0x%s": {"runtimeCode": 5}}' % ("11" * 20),
+        '{"0x%s": {"destroyed": "yes"}}' % ("11" * 20),
+        '{"0x%s": {"creationTx": []}}' % ("11" * 20),
+        '{"0x%s": {"creationTx": {"hash": "0x%s", "deployer": "0x%s"}}}'
+        % ("11" * 20, "22" * 32, "33" * 20),
+        '{"0x%s": {"creationTx": {"hash": "0x22", "input": "0x",'
+        ' "deployer": "0x%s"}}}' % ("11" * 20, "33" * 20),
+    ], ids=["list", "short-address", "not-json", "entry-not-object",
+            "code-not-text", "destroyed-not-bool", "tx-not-object",
+            "tx-without-input", "short-tx-hash"])
+    def test_malformed_fixture_rejected(self, tmp_path, payload):
+        path = tmp_path / "chain.json"
+        path.write_text(payload)
+        with pytest.raises(MalformedFixtureError):
+            MockChain.load_fixture(path)
 
 
 class TestMockIdentifiers:

@@ -102,6 +102,25 @@ class TestVerifyAndQuery:
         assert err.startswith("error: optimizerRuns must be an integer")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fixture", [
+        [1, 2],
+        {"0x11": 5},
+        {"0x" + "11" * 20: {"runtimeCode": "0x", "destroyed": False,
+                            "creationTx": {"hash": "0x" + "22" * 32,
+                                           "deployer": "0x" + "33" * 20}}},
+    ], ids=["list", "entry-not-object", "tx-without-input"])
+    def test_verify_refuses_malformed_chain_fixture(self, world, capsys,
+                                                    fixture):
+        Path(world["chain"]).write_text(json.dumps(fixture))
+        code, out, err = run(capsys, "verify", world["request"],
+                             "--chain", world["chain"],
+                             "--store", world["store"],
+                             "--compiler", world["compiler"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_query_round_trip(self, world, capsys):
         run(capsys, "verify", world["request"], "--chain", world["chain"],
             "--store", world["store"], "--compiler", world["compiler"])

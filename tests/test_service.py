@@ -28,6 +28,7 @@ from srcverify.errors import (
     NotVerifiedError,
     PathEscapeError,
     StaleRecordError,
+    VerifierError,
 )
 from srcverify.linker import PlaceholderForm, PlaceholderSpan
 from srcverify.matching import Grade, Requirement
@@ -132,6 +133,10 @@ class TestSanitizePaths:
     def test_empty_rejected(self):
         with pytest.raises(MalformedRequestError):
             sanitize_path("")
+
+    def test_nul_byte_rejected(self):
+        with pytest.raises(MalformedRequestError):
+            sanitize_path("contracts/a\0.sol")
 
     def test_duplicate_after_normalization(self):
         with pytest.raises(DuplicateAfterNormalizationError):
@@ -388,6 +393,22 @@ class TestSubmitVerification:
         assert not w.store.has(w.address)
         assert not (w.store.root / "exact" / ("0x" + w.address.hex())).exists()
 
+    @pytest.mark.parametrize("config", [HARDENED, NAIVE_SOURCIFY_LIKE],
+                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("bad_path", ["lib/nul\0.sol",
+                                          "lib/" + "x" * 300 + ".sol"],
+                             ids=["nul-byte", "name-too-long"])
+    def test_unwritable_path_refused_without_leftovers(self, tmp_path, config,
+                                                       bad_path):
+        sources = {**SOURCES, bad_path: "library L {}\n"}
+        w = build(config, tmp_path, sources=sources)
+        before = w.store.snapshot()
+        with pytest.raises(VerifierError):
+            w.service.submit_verification(w.request)
+        assert w.store.snapshot() == before
+        assert not w.store.has(w.address)
+        assert not (w.store.root / "exact" / ("0x" + w.address.hex())).exists()
+
     def test_empty_local_verifies_on_naive_but_not_hardened(self, tmp_path):
         abstract = CompilationOutput(creation_code=b"", runtime_template=b"")
         naive = build(NAIVE_SOURCIFY_LIKE, tmp_path, output=abstract,
@@ -510,6 +531,27 @@ class TestDifferentialLabeling:
         record = w.service.submit_verification(w.request)
         assert record.grade is Grade.EXACT
         assert compiler.compiles == 2  # the sources, then the perturbed ones
+
+
+class TestMalformedAddress:
+    """A malformed address is refused with a VerifierError at every entry."""
+
+    def test_query(self, tmp_path):
+        w = build(HARDENED, tmp_path)
+        with pytest.raises(VerifierError):
+            w.service.query("0x12")
+
+    def test_inherit(self, tmp_path):
+        w = build(HARDENED, tmp_path)
+        with pytest.raises(VerifierError):
+            w.service.inherit_identical_runtime("zz")
+
+    def test_submit(self, tmp_path):
+        w = build(HARDENED, tmp_path)
+        request = dataclasses.replace(w.request, address=w.address[:19])
+        with pytest.raises(VerifierError):
+            w.service.submit_verification(request)
+        assert w.store.list_addresses() == []
 
 
 class TestQuery:

@@ -15,8 +15,10 @@ from srcverify._keccak import keccak256
 from srcverify.errors import (
     CorruptRecordError,
     DuplicateAfterNormalizationError,
+    MalformedAddressError,
     NotVerifiedError,
     ReplacementDeniedError,
+    VerifierError,
 )
 from srcverify.matching import Grade
 from srcverify.store import RecordStore, VerificationRecord, normalize_address
@@ -46,6 +48,13 @@ class TestNormalizeAddress:
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             normalize_address(bad)
+
+    @pytest.mark.parametrize("bad", [b"\x11" * 19, "0x1234", 5, None])
+    def test_rejection_is_a_verifier_error(self, bad):
+        with pytest.raises(MalformedAddressError) as excinfo:
+            normalize_address(bad)
+        assert isinstance(excinfo.value, VerifierError)
+        assert isinstance(excinfo.value, ValueError)
 
 
 class TestRecordValidation:
