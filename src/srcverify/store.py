@@ -17,7 +17,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import posixpath
 import shutil
+import stat
 import string
 import threading
 import time
@@ -125,6 +127,13 @@ class RecordStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._locks = tuple(threading.Lock() for _ in range(_WRITE_LOCKS))
+        # the root and its ancestors, normalized: directories that exist
+        self._root_dirs = frozenset(posixpath.normpath(os.fspath(d))
+                                    for d in (self.root, *self.root.parents))
+        try:
+            self._name_max = os.pathconf(self.root, "PC_NAME_MAX")
+        except (AttributeError, OSError, ValueError):  # no pathconf here
+            self._name_max = 255
 
     def _lock_for(self, address: str) -> threading.Lock:
         return self._locks[hash(address) % _WRITE_LOCKS]
@@ -153,7 +162,7 @@ class RecordStore:
         partial one; exact shadows partial in lookups, so a failed write
         leaves the stored record in place.
         """
-        self._check_layout(record)
+        files, dirs = self._check_layout(record)
         with self._lock_for(record.address):
             found = self._find(record.address)
             if found is not None:
@@ -166,6 +175,7 @@ class RecordStore:
                     raise ReplacementDeniedError(
                         f"{record.grade.value} may not replace {old_grade.value} "
                         f"for {record.address}")
+            self._check_disk(record, files, dirs)
             try:
                 self._write(record)
             except (OSError, ValueError) as exc:
@@ -174,8 +184,8 @@ class RecordStore:
                     shutil.rmtree(base)
                 if isinstance(exc, (FileExistsError, NotADirectoryError,
                                     IsADirectoryError)):
-                    # a source path ran into an entry of the other kind
-                    # already on disk, which _check_layout cannot see
+                    # an entry of the other kind appeared on disk after
+                    # _check_disk looked
                     raise DuplicateAfterNormalizationError(
                         f"record for {record.address} needs "
                         f"{os.path.relpath(exc.filename, self.root)}, which is "
@@ -188,24 +198,73 @@ class RecordStore:
                 shutil.rmtree(old_dir)
         return record
 
-    def _check_layout(self, record: VerificationRecord) -> None:
+    def _check_layout(self, record: VerificationRecord
+                      ) -> tuple[list[str], set[str]]:
         """Refuse a record that needs one path as both a file and a directory.
 
         Every ancestor of a file _write creates, ``..`` steps included, must
         be a directory, so ``c/a.sol`` beside ``c/a.sol/x.sol`` (or
         ``c/a.sol/../x.sol``) is caught here, before anything is written.
+        Returns the normalized files and directories the record needs.
+        Paths are joined and split as pathlib would: ``.`` and empty parts
+        drop out, and an absolute virtual path replaces the sources folder.
         """
-        base = self._record_dir(record.grade, record.address)
-        sources = base / "sources"
-        files = [base / RECORD_FILENAME] + [sources / Path(p) for p in record.sources]
-        dirs = [sources] + [d for f in files for d in f.parents]
-        clash = ({os.path.normpath(f) for f in files}
-                 & {os.path.normpath(d) for d in dirs})
+        base = posixpath.normpath(posixpath.join(
+            os.fspath(self.root), record.grade.value, record.address))
+        sources = base + "/sources"
+        files = [base + "/" + RECORD_FILENAME]
+        dirs = {sources, base, posixpath.dirname(base), *self._root_dirs}
+        for virtual_path in record.sources:
+            start = sources
+            if virtual_path.startswith("/"):
+                # exactly two leading slashes stay a root of their own
+                start = ("//" if virtual_path.startswith("//")
+                         and not virtual_path.startswith("///") else "/")
+            parts = [p for p in virtual_path.split("/") if p not in ("", ".")]
+            for i in range(len(parts)):
+                dirs.add(posixpath.normpath(posixpath.join(start, *parts[:i])))
+            files.append(posixpath.normpath(posixpath.join(start, *parts)))
+        clash = dirs.intersection(files)
         if clash:
             raise DuplicateAfterNormalizationError(
                 f"record for {record.address} needs "
                 f"{os.path.relpath(min(clash), self.root)} to be both a file "
                 f"and a directory")
+        return files, dirs
+
+    def _check_disk(self, record: VerificationRecord, files: list[str],
+                    dirs: set[str]) -> None:
+        """Refuse a record the disk cannot take, before a byte is written.
+
+        A needed directory must not exist as anything else, a file must not
+        exist as a directory, and every path must be one the filesystem
+        accepts.  Without this a source path such as
+        ``../../0x<other>/record/x.sol`` fails only after an earlier path
+        has overwritten another record's file.
+        """
+        for path in sorted((dirs - self._root_dirs).union(files)):
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                name = os.fsencode(posixpath.basename(path))
+                if len(name) > self._name_max:
+                    raise RecordWriteError(
+                        f"record for {record.address} could not be written: "
+                        f"{os.path.relpath(path, self.root)!r} has a name "
+                        f"longer than {self._name_max} bytes") from None
+                continue
+            except NotADirectoryError:
+                mode = None  # an ancestor on disk is a file
+            except (OSError, ValueError) as exc:
+                # a NUL byte, a path too long, ...
+                raise RecordWriteError(
+                    f"record for {record.address} could not be written: "
+                    f"{exc}") from exc
+            if mode is None or stat.S_ISDIR(mode) is not (path in dirs):
+                raise DuplicateAfterNormalizationError(
+                    f"record for {record.address} needs "
+                    f"{os.path.relpath(path, self.root)}, which is already on "
+                    f"disk as another kind of entry")
 
     def _write(self, record: VerificationRecord) -> None:
         base = self._record_dir(record.grade, record.address)

@@ -100,6 +100,24 @@ class TestDisassembler:
         assert "PUSH2" in str(ins) and "0x0102" in str(ins)
 
 
+LANE = (1 << 64) - 1
+extreme_words = st.one_of(
+    st.sampled_from([0, LANE]),
+    st.integers(0, 63).map(lambda bit: 1 << bit),
+    st.integers(0, 63).map(lambda bit: LANE ^ 1 << bit),
+    st.integers(0, LANE))
+
+
+@st.composite
+def extreme_messages(draw):
+    """Messages of one to three sponge blocks once padded, each 8-byte
+    word all zeros, all ones, one bit, all but one bit or random."""
+    length = draw(st.integers(0, 3 * 136 - 1))
+    words = draw(st.lists(extreme_words, min_size=-(-length // 8),
+                          max_size=-(-length // 8)))
+    return b"".join(w.to_bytes(8, "little") for w in words)[:length]
+
+
 class TestCodeHash:
     @pytest.mark.parametrize("data,digest", sorted(KECCAK_VECTORS.items()))
     def test_frozen_vectors(self, data, digest):
@@ -117,10 +135,17 @@ class TestCodeHash:
 
     def test_rate_boundary_inputs(self):
         # every length up to five sponge blocks, so each padding position
-        # and the 135/136/137 and 271/272/273 boundaries are all covered
-        pattern = bytes((7 * i + 0xA5) & 0xFF for i in range(700))
-        for n in range(701):
-            assert keccak256(pattern[:n]) == keccak256_oracle(pattern[:n]), n
+        # and the 135/136/137 and 271/272/273 boundaries are all covered;
+        # all-ones lanes cancel the complemented lanes of the state
+        for pattern in (bytes((7 * i + 0xA5) & 0xFF for i in range(700)),
+                        b"\xff" * 700):
+            for n in range(701):
+                assert (keccak256(pattern[:n])
+                        == keccak256_oracle(pattern[:n])), (pattern[0], n)
+
+    @given(extreme_messages())
+    def test_extreme_lanes_agree_with_oracle(self, data):
+        assert keccak256(data) == keccak256_oracle(data)
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """Record store: layout, replacement lattice, integrity digests."""
 
+import os
+import re
 import sys
 import tempfile
 import threading
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import code_hash_lookup_oracle
+from oracles import code_hash_lookup_oracle, layout_clash_oracle
 from srcverify import store as store_module
 from srcverify._keccak import keccak256
 from srcverify.errors import (
@@ -17,6 +19,7 @@ from srcverify.errors import (
     DuplicateAfterNormalizationError,
     MalformedAddressError,
     NotVerifiedError,
+    RecordWriteError,
     ReplacementDeniedError,
     VerifierError,
 )
@@ -25,6 +28,7 @@ from srcverify.store import RecordStore, VerificationRecord, normalize_address
 
 VICTIM = "0x" + "11" * 20
 ATTACKER = "0x" + "22" * 20
+WRITER = "0x" + "33" * 20
 
 
 def record(address, grade=Grade.PARTIAL, sources=None, **kwargs):
@@ -136,6 +140,28 @@ class TestStoreAndLoad:
             store.store_record(record(VICTIM, sources=sources))
         assert store.snapshot() == before
         assert not (tmp_path / "partial" / VICTIM).exists()
+
+    @pytest.mark.parametrize("second, error", [
+        (f"../../{ATTACKER}/record/x.sol", DuplicateAfterNormalizationError),
+        (f"../../{ATTACKER}/record/sub/x.sol", DuplicateAfterNormalizationError),
+        (f"../../{ATTACKER}/sources", DuplicateAfterNormalizationError),
+        ("lib/nul\0.sol", RecordWriteError),
+        ("lib/" + "x" * 300 + ".sol", RecordWriteError),
+    ], ids=["into-manifest", "under-manifest", "onto-sources", "nul-byte",
+            "name-too-long"])
+    def test_refused_write_changes_no_other_record(self, tmp_path, second,
+                                                   error):
+        # the first path alone would overwrite the victim's source; the
+        # second makes the store refuse the record, so nothing may be written
+        store = RecordStore(tmp_path)
+        store.store_record(record(VICTIM))
+        store.store_record(record(ATTACKER))
+        before = store.snapshot()
+        sources = {f"../../{VICTIM}/sources/a.sol": "evil", second: "y"}
+        with pytest.raises(error):
+            store.store_record(record(WRITER, sources=sources))
+        assert store.snapshot() == before
+        assert store.load(VICTIM).sources["a.sol"] == "contract A {}"
 
     def test_failed_upgrade_keeps_the_stored_record(self, tmp_path):
         store = RecordStore(tmp_path)
@@ -254,6 +280,42 @@ class TestReplacementLattice:
         locks = {store._lock_for(a) for a in addresses}
         assert len(locks) <= store_module._WRITE_LOCKS < len(addresses)
         assert all(store._lock_for(a) is store._lock_for(a) for a in addresses)
+
+
+# parts of virtual paths: names the store itself uses, ".." to climb out of
+# the record and above the store root, and the spellings pathlib drops
+path_parts = st.sampled_from(["a.sol", "b", "..", ".", "", "record",
+                              "sources", "partial", "exact", VICTIM, "store"])
+virtual_paths = st.builds(
+    lambda lead, parts, trail: lead + "/".join(parts) + trail,
+    st.sampled_from(["", "", "", "/", "//", "///"]),
+    st.lists(path_parts, max_size=8), st.sampled_from(["", "/"]))
+
+
+class TestLayoutCheck:
+    def test_agrees_with_pathlib(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        stores = [RecordStore(tmp_path / "abs" / "store"),
+                  RecordStore("rel/store")]
+
+        @settings(max_examples=400)
+        @given(st.sampled_from(stores),
+               st.sampled_from([Grade.EXACT, Grade.PARTIAL]),
+               st.lists(virtual_paths, min_size=1, max_size=3))
+        def check(store, grade, paths):
+            clash = layout_clash_oracle(store.root / grade.value / VICTIM,
+                                        paths)
+            drawn = record(VICTIM, grade=grade,
+                           sources=dict.fromkeys(paths, "x"))
+            if clash is None:
+                store._check_layout(drawn)
+            else:
+                where = os.path.relpath(clash, store.root)
+                with pytest.raises(DuplicateAfterNormalizationError,
+                                   match=f"needs {re.escape(where)} to be"):
+                    store._check_layout(drawn)
+
+        check()
 
 
 class TestIntegrity:
