@@ -171,7 +171,8 @@ class Lab:
         request = VerificationRequest(sources=sources, settings=settings,
                                       address=address)
         if export_as is not None and self.export is not None:
-            (self.export / f"request-{export_as}.json").write_text(request.to_json())
+            (self.export / f"request-{export_as}.json").write_text(
+                request.to_json(), encoding="utf-8")
         return request
 
 
@@ -829,6 +830,6 @@ def export_scenario_corpus(root: str | Path,
             "guards": list(outcome.guards),
         }
         (directory / "manifest.json").write_text(
-            json.dumps(manifest, indent=2) + "\n")
+            json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
         written.append(directory)
     return written

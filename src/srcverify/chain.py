@@ -214,7 +214,8 @@ class MockChain(ChainClient):
                 },
                 "destroyed": contract.destroyed,
             }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(path).write_text(json.dumps(payload, indent=2) + "\n",
+                              encoding="utf-8")
 
     @classmethod
     def load_fixture(cls, path: str | Path) -> "MockChain":
@@ -223,7 +224,7 @@ class MockChain(ChainClient):
         Anything not shaped like that output raises MalformedFixtureError.
         """
         try:
-            payload = json.loads(Path(path).read_text())
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except ValueError as exc:
             raise MalformedFixtureError(f"chain fixture {path} is not JSON") from exc
         if not isinstance(payload, dict):

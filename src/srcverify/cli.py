@@ -56,7 +56,7 @@ class _RefusingCompiler:
 
 
 def _cmd_verify(args) -> int:
-    request = VerificationRequest.from_json(Path(args.request).read_text())
+    request = VerificationRequest.from_json(Path(args.request).read_text(encoding="utf-8"))
     service = _build_service(args)
     record = service.submit_verification(request)
     print(json.dumps({
@@ -84,7 +84,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_strip_metadata(args) -> int:
-    code = parse_hex(Path(args.hexfile).read_text())
+    code = parse_hex(Path(args.hexfile).read_text(encoding="utf-8"))
     spans = scan_metadata(code)
     stripped = strip_spans(code, spans)
     if args.spans:
@@ -156,7 +156,7 @@ def _cmd_scan_config(args) -> int:
 
 def _cmd_filter_r1(args) -> int:
     root = Path(args.corpus_dir)
-    corpus = [(path.stem, parse_hex(path.read_text()))
+    corpus = [(path.stem, parse_hex(path.read_text(encoding="utf-8")))
               for path in sorted(root.glob("*.hex"))]
     if not corpus:
         print(f"no *.hex files under {root}", file=sys.stderr)

@@ -37,7 +37,6 @@ PATTERN_LENGTH = 53
 _IPFS_HEAD = bytes.fromhex("a264697066735822")  # 0xa2, "ipfs" text-wrapped, 34-byte tag
 _SOLC_HEAD = bytes.fromhex("64736f6c6343")      # "solc" text-wrapped, 3-byte tag
 _HASH_SLICE = slice(8, 42)
-_VERSION_SLICE = slice(48, 51)
 
 # legacy 0.4-era trailing block: 0xa1, "bzzr0", 32-byte tag, hash, length suffix
 LEGACY_MARKER = bytes.fromhex("a165627a7a7230")

@@ -5,6 +5,11 @@ Layout, one directory per record:
     <root>/<grade>/<address>/record              JSON manifest
     <root>/<grade>/<address>/sources/<path>      source bodies, virtual paths
 
+Every file is read with one ``os.open``, reads to EOF and one ``os.close``,
+and written with one open, its writes and one close, on ``str`` paths.
+Bodies and manifests are UTF-8 whatever the locale, and a body loads as the
+exact text that was stored.
+
 Virtual paths are written exactly as submitted.  Sanitization is the
 service's job; the store reproducing a traversal write when handed an
 unsanitized ``../..`` path is intentional, since that observable overwrite
@@ -46,6 +51,9 @@ _STORABLE_GRADES = (Grade.EXACT, Grade.PARTIAL)
 # write locks per store, shared by every address that hashes to one of them
 _WRITE_LOCKS = 64
 
+# bytes asked for per read; a manifest or a typical body takes one
+_READ_SIZE = 1 << 16
+
 
 def normalize_address(address: str | bytes) -> str:
     """Canonical lowercase 0x-prefixed form used for directory names."""
@@ -68,6 +76,43 @@ def _sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _read_bytes(path: str) -> bytes:
+    """The whole file: one open, reads to EOF, one close."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_SIZE):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def _write_bytes(path: str, data: bytes) -> None:
+    """Create or truncate the file and write all of data: one open, one close."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        os.close(fd)
+
+
+def _is_file(path: str) -> bool:
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except (FileNotFoundError, NotADirectoryError):
+        return False
+
+
+def _source_path(sources_dir: str, virtual_path: str) -> str:
+    """Where a virtual path's body lives, normalized as _check_layout checks
+    it: ``.``, empty parts and ``..`` steps fold away, and an absolute path
+    replaces the sources folder."""
+    return posixpath.normpath(posixpath.join(sources_dir, virtual_path))
+
+
 def _parse_manifest(raw: bytes, where: str) -> dict:
     try:
         manifest = json.loads(raw)
@@ -78,8 +123,8 @@ def _parse_manifest(raw: bytes, where: str) -> dict:
     return manifest
 
 
-def _read_manifest(directory: Path, where: str) -> dict:
-    return _parse_manifest((directory / RECORD_FILENAME).read_bytes(), where)
+def _read_manifest(directory: str, where: str) -> dict:
+    return _parse_manifest(_read_bytes(directory + "/" + RECORD_FILENAME), where)
 
 
 @dataclass
@@ -126,6 +171,7 @@ class RecordStore:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._root = os.fspath(self.root)
         self._locks = tuple(threading.Lock() for _ in range(_WRITE_LOCKS))
         # the root and its ancestors, normalized: directories that exist
         self._root_dirs = frozenset(posixpath.normpath(os.fspath(d))
@@ -138,13 +184,13 @@ class RecordStore:
     def _lock_for(self, address: str) -> threading.Lock:
         return self._locks[hash(address) % _WRITE_LOCKS]
 
-    def _record_dir(self, grade: Grade, address: str) -> Path:
-        return self.root / grade.value / address
+    def _record_dir(self, grade: Grade, address: str) -> str:
+        return f"{self._root}/{grade.value}/{address}"
 
-    def _find(self, address: str) -> tuple[Grade, Path] | None:
+    def _find(self, address: str) -> tuple[Grade, str] | None:
         for grade in _STORABLE_GRADES:
             directory = self._record_dir(grade, address)
-            if (directory / RECORD_FILENAME).is_file():
+            if _is_file(directory + "/" + RECORD_FILENAME):
                 return grade, directory
         return None
 
@@ -175,12 +221,12 @@ class RecordStore:
                     raise ReplacementDeniedError(
                         f"{record.grade.value} may not replace {old_grade.value} "
                         f"for {record.address}")
-            self._check_disk(record, files, dirs)
+            missing = self._check_disk(record, files, dirs)
             try:
-                self._write(record)
+                self._write(record, files, missing)
             except (OSError, ValueError) as exc:
                 base = self._record_dir(record.grade, record.address)
-                if base.is_dir():
+                if os.path.isdir(base):
                     shutil.rmtree(base)
                 if isinstance(exc, (FileExistsError, NotADirectoryError,
                                     IsADirectoryError)):
@@ -205,12 +251,13 @@ class RecordStore:
         Every ancestor of a file _write creates, ``..`` steps included, must
         be a directory, so ``c/a.sol`` beside ``c/a.sol/x.sol`` (or
         ``c/a.sol/../x.sol``) is caught here, before anything is written.
-        Returns the normalized files and directories the record needs.
+        Returns the normalized files and directories the record needs, the
+        manifest first and then one file per source in the record's order.
         Paths are joined and split as pathlib would: ``.`` and empty parts
         drop out, and an absolute virtual path replaces the sources folder.
         """
         base = posixpath.normpath(posixpath.join(
-            os.fspath(self.root), record.grade.value, record.address))
+            self._root, record.grade.value, record.address))
         sources = base + "/sources"
         files = [base + "/" + RECORD_FILENAME]
         dirs = {sources, base, posixpath.dirname(base), *self._root_dirs}
@@ -223,7 +270,7 @@ class RecordStore:
             parts = [p for p in virtual_path.split("/") if p not in ("", ".")]
             for i in range(len(parts)):
                 dirs.add(posixpath.normpath(posixpath.join(start, *parts[:i])))
-            files.append(posixpath.normpath(posixpath.join(start, *parts)))
+            files.append(_source_path(sources, virtual_path))
         clash = dirs.intersection(files)
         if clash:
             raise DuplicateAfterNormalizationError(
@@ -233,15 +280,17 @@ class RecordStore:
         return files, dirs
 
     def _check_disk(self, record: VerificationRecord, files: list[str],
-                    dirs: set[str]) -> None:
+                    dirs: set[str]) -> list[str]:
         """Refuse a record the disk cannot take, before a byte is written.
 
         A needed directory must not exist as anything else, a file must not
         exist as a directory, and every path must be one the filesystem
         accepts.  Without this a source path such as
         ``../../0x<other>/record/x.sol`` fails only after an earlier path
-        has overwritten another record's file.
+        has overwritten another record's file.  Returns the needed
+        directories that do not exist yet, parents first.
         """
+        missing = []
         for path in sorted((dirs - self._root_dirs).union(files)):
             try:
                 mode = os.stat(path).st_mode
@@ -252,6 +301,8 @@ class RecordStore:
                         f"record for {record.address} could not be written: "
                         f"{os.path.relpath(path, self.root)!r} has a name "
                         f"longer than {self._name_max} bytes") from None
+                if path in dirs:
+                    missing.append(path)
                 continue
             except NotADirectoryError:
                 mode = None  # an ancestor on disk is a file
@@ -265,17 +316,25 @@ class RecordStore:
                     f"record for {record.address} needs "
                     f"{os.path.relpath(path, self.root)}, which is already on "
                     f"disk as another kind of entry")
+        return missing
 
-    def _write(self, record: VerificationRecord) -> None:
-        base = self._record_dir(record.grade, record.address)
-        sources_dir = base / "sources"
-        sources_dir.mkdir(parents=True, exist_ok=True)
+    def _write(self, record: VerificationRecord, files: list[str],
+               missing: list[str]) -> None:
+        """Create the missing directories, then write each source and last
+        the manifest, at the paths _check_layout normalized."""
+        for directory in missing:
+            try:
+                os.mkdir(directory)
+            except FileExistsError:
+                # a writer for another address may have made a grade directory
+                if not os.path.isdir(directory):
+                    raise
+        manifest_path, *source_paths = files
         digests: dict[str, str] = {}
-        for virtual_path, text in record.sources.items():
+        for (virtual_path, text), target in zip(record.sources.items(),
+                                                source_paths):
             body = text.encode("utf-8")
-            target = sources_dir / Path(virtual_path)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(body)
+            _write_bytes(target, body)
             digests[virtual_path] = _sha256_hex(body)
         manifest = {
             "address": record.address,
@@ -289,8 +348,8 @@ class RecordStore:
             "timestamp": record.timestamp,
             "sourceDigests": digests,
         }
-        (base / RECORD_FILENAME).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        _write_bytes(manifest_path, text.encode("utf-8"))
 
     # --- reading ---
 
@@ -302,7 +361,8 @@ class RecordStore:
 
         Bodies come from disk rather than the manifest so that on-disk
         tampering (the traversal overwrite) is visible to callers exactly
-        the way it is visible to anyone browsing the store.
+        the way it is visible to anyone browsing the store.  A body that is
+        missing, is not a file or is not UTF-8 makes the record corrupt.
         """
         key = normalize_address(address)
         found = self._find(key)
@@ -310,11 +370,17 @@ class RecordStore:
             raise NotVerifiedError(f"no record for {key}")
         grade, directory = found
         manifest = _read_manifest(directory, key)
+        sources_dir = directory + "/sources"
         try:
             sources = {}
             for virtual_path in manifest["sourceDigests"]:
-                body_path = directory / "sources" / Path(virtual_path)
-                sources[virtual_path] = body_path.read_text()
+                try:
+                    sources[virtual_path] = _read_bytes(_source_path(
+                        sources_dir, virtual_path)).decode("utf-8")
+                except (OSError, ValueError) as exc:
+                    raise CorruptRecordError(
+                        f"source {virtual_path!r} of {key} does not load: "
+                        f"{exc!r}") from exc
             tx_hex = manifest["creationTxHash"]
             return VerificationRecord(
                 address=manifest["address"],
@@ -340,12 +406,14 @@ class RecordStore:
     def list_addresses(self) -> list[str]:
         seen = set()
         for grade in _STORABLE_GRADES:
-            grade_dir = self.root / grade.value
-            if not grade_dir.is_dir():
+            try:
+                entries = os.scandir(f"{self._root}/{grade.value}")
+            except (FileNotFoundError, NotADirectoryError):
                 continue
-            for child in grade_dir.iterdir():
-                if (child / RECORD_FILENAME).is_file():
-                    seen.add(child.name)
+            with entries:
+                for entry in entries:
+                    if _is_file(entry.path + "/" + RECORD_FILENAME):
+                        seen.add(entry.name)
         return sorted(seen)
 
     def records(self) -> Iterator[VerificationRecord]:
@@ -367,7 +435,7 @@ class RecordStore:
         hits = []
         for grade in _STORABLE_GRADES:
             try:
-                entries = os.scandir(self.root / grade.value)
+                entries = os.scandir(f"{self._root}/{grade.value}")
             except (FileNotFoundError, NotADirectoryError):
                 continue
             with entries:
@@ -375,9 +443,7 @@ class RecordStore:
                     if entry.name in seen:
                         continue
                     try:
-                        with open(os.path.join(entry.path, RECORD_FILENAME),
-                                  "rb") as manifest_file:
-                            raw = manifest_file.read()
+                        raw = _read_bytes(entry.path + "/" + RECORD_FILENAME)
                     except (FileNotFoundError, NotADirectoryError,
                             IsADirectoryError):
                         continue
@@ -399,10 +465,14 @@ class RecordStore:
         digests = _read_manifest(directory, key).get("sourceDigests")
         if not isinstance(digests, dict):
             raise CorruptRecordError(f"manifest of {key} lists no source digests")
+        sources_dir = directory + "/sources"
         tampered = []
         for virtual_path, digest in digests.items():
-            body_path = directory / "sources" / Path(virtual_path)
-            if not body_path.is_file() or _sha256_hex(body_path.read_bytes()) != digest:
+            try:
+                body = _read_bytes(_source_path(sources_dir, virtual_path))
+            except (OSError, ValueError):  # missing, not a file, a NUL byte
+                body = None
+            if body is None or _sha256_hex(body) != digest:
                 tampered.append(virtual_path)
         return tampered
 

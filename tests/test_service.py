@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -612,6 +616,57 @@ class TestQuery:
         with pytest.raises(NotVerifiedError):
             w.service.query(b"\x99" * 20)
 
+    @pytest.mark.parametrize("damage", ["missing", "directory", "not-utf8"])
+    def test_damaged_body_is_a_corrupt_record(self, tmp_path, damage):
+        w = build(HARDENED, tmp_path)
+        w.service.submit_verification(w.request)
+        body = (w.store.root / "exact" / f"0x{w.address.hex()}" / "sources"
+                / "contracts" / "a.sol")
+        body.unlink()
+        if damage == "directory":
+            body.mkdir()
+        elif damage == "not-utf8":
+            body.write_bytes(b"\xff contract A {}")
+        for read in (w.store.load, w.service.query):
+            with pytest.raises(CorruptRecordError, match="contracts/a.sol"):
+                read(w.address)
+        clone = w.chain.mock_deploy(RUNTIME, w.output.creation_code)
+        with pytest.raises(CorruptRecordError):
+            w.service.inherit_identical_runtime(clone)
+        assert w.store.verify_integrity(w.address) == ["contracts/a.sol"]
+
+    def test_non_ascii_source_round_trips_under_an_ascii_locale(self):
+        tests = Path(__file__).parent
+        env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C",
+                   PYTHONPATH=os.pathsep.join([str(tests.parent / "src"),
+                                               str(tests)]))
+        proc = subprocess.run([sys.executable, "-c", LOCALE_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        encoding, _, rest = proc.stdout.partition("\n")
+        if encoding.lower().replace("-", "") == "utf8":
+            pytest.skip("the C locale is UTF-8 on this platform")
+        assert proc.returncode == 0, proc.stderr
+        assert rest == "ok\n"
+
+
+NON_ASCII = {"contracts/a.sol": "// h\u00e9llo \u2713\ncontract A {}\n"}
+
+# run under an ASCII locale: everything the store writes and reads is UTF-8
+LOCALE_PROBE = """
+import locale, tempfile
+from pathlib import Path
+from srcverify.service import HARDENED
+from test_service import NON_ASCII, build
+
+print(locale.getpreferredencoding(False))
+with tempfile.TemporaryDirectory() as tmp:
+    w = build(HARDENED, Path(tmp), sources=NON_ASCII)
+    w.service.submit_verification(w.request)
+    assert w.store.load(w.address).sources == NON_ASCII
+    assert w.store.verify_integrity(w.address) == []
+    assert w.service.query(w.address).source_files == NON_ASCII
+print("ok")
+"""
 
 CAP_RUNTIME = BODY + bytes(24576 - len(BODY) - len(BLOCK_A)) + BLOCK_A
 FACTORY, SALT, INIT = b"\x11" * 20, b"\x22" * 32, bytes.fromhex("600080f3")

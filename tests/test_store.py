@@ -95,6 +95,14 @@ class TestStoreAndLoad:
         loaded = store.load(VICTIM)
         assert loaded == original
 
+    def test_text_round_trips_byte_for_byte(self, tmp_path):
+        store = RecordStore(tmp_path)
+        sources = {"a.sol": "a\r\nb\rc\n", "b.sol": "// h\u00e9llo \u2713"}
+        store.store_record(record(VICTIM, sources=sources))
+        assert store.load(VICTIM).sources == sources
+        assert (tmp_path / "partial" / VICTIM / "sources" / "a.sol"
+                ).read_bytes() == b"a\r\nb\rc\n"
+
     def test_load_accepts_byte_address(self, tmp_path):
         store = RecordStore(tmp_path)
         store.store_record(record(VICTIM))
@@ -316,6 +324,97 @@ class TestLayoutCheck:
                     store._check_layout(drawn)
 
         check()
+
+
+def counted_mkdirs(monkeypatch, root):
+    """Every os.mkdir from here on, relative to root, with what it raised."""
+    calls = []
+    real = os.mkdir
+
+    def counting(path, *args, **kwargs):
+        where = os.path.relpath(path, root)
+        try:
+            real(path, *args, **kwargs)
+        except OSError as exc:
+            calls.append((where, type(exc).__name__))
+            raise
+        calls.append((where, None))
+
+    monkeypatch.setattr(os, "mkdir", counting)
+    return calls
+
+
+# what the parent layout put on disk for PINNED_RECORDS, byte for byte
+PINNED_FILES = {
+    f"exact/{VICTIM}/record":
+        "6dba390bdb11e2971bd9b5c00286c0a3214753b0d0dbf0244c147cdc086d847b",
+    f"exact/{VICTIM}/sources/a.sol":
+        "7ff3da8117bf263b90ac8fb9058d15c16b3ee70c02b7f7fe99f4df755b4a75c6",
+    f"exact/{VICTIM}/sources/lib/m.sol":
+        "5c7aeeb687618a01151ce748f7a836908856fb2bb69e8c0dfc9861f8920d3518",
+    f"exact/{ATTACKER}/record":
+        "1376d4590927749a0eb49b6ab4a890458925f18050ed2b3184a5b928e5e277bd",
+    f"exact/{ATTACKER}/sources/b.sol":
+        "3e23e8160039594a33894f6564e1b1348bbd7a0088d42c4acb73eeaed59c009d",
+    f"exact/{ATTACKER}/sources/c/d.sol":
+        "18ac3e7343f016890c510e93f935261169d9e3f565436429830faf0934f4f8e4",
+    f"partial/{VICTIM}/sources/a.sol":
+        "b5c1fb2efc6d6b4674c2fdcc48ce01b43a3b7c03763c0c3355de0099ee0f8c73",
+    f"partial/{WRITER}/record":
+        "75ec1cf633158e87150d17b6eada2cf8e3520269d64a001f4b7be4130de903fe",
+}
+PINNED_DIRS = {
+    ".", "exact", "partial", f"exact/{VICTIM}", f"exact/{VICTIM}/sources",
+    f"exact/{VICTIM}/sources/lib", f"exact/{ATTACKER}",
+    f"exact/{ATTACKER}/sources", f"exact/{ATTACKER}/sources/c",
+    f"exact/{ATTACKER}/sources/x", f"partial/{VICTIM}",
+    f"partial/{VICTIM}/sources", f"partial/{WRITER}",
+    f"partial/{WRITER}/sources",
+}
+
+
+class TestSyscalls:
+    def test_fresh_record_makes_each_missing_directory_once(self, tmp_path,
+                                                            monkeypatch):
+        store = RecordStore(tmp_path / "store")
+        calls = counted_mkdirs(monkeypatch, store.root)
+        store.store_record(record(VICTIM, sources={"a.sol": "x",
+                                                   "lib/m.sol": "y"}))
+        base = f"partial/{VICTIM}"
+        assert calls == [("partial", None), (base, None),
+                         (f"{base}/sources", None),
+                         (f"{base}/sources/lib", None)]
+
+    def test_second_record_in_a_grade_makes_no_grade_directory(
+            self, tmp_path, monkeypatch):
+        store = RecordStore(tmp_path / "store")
+        store.store_record(record(VICTIM))
+        calls = counted_mkdirs(monkeypatch, store.root)
+        store.store_record(record(ATTACKER))
+        assert calls == [(f"partial/{ATTACKER}", None),
+                         (f"partial/{ATTACKER}/sources", None)]
+
+    def test_bytes_and_directories_on_disk_are_pinned(self, tmp_path):
+        store = RecordStore(tmp_path / "store")
+        store.store_record(record(
+            VICTIM, grade=Grade.EXACT,
+            sources={"a.sol": "contract A {}", "lib/m.sol": "// h\u00e9llo \u2713"},
+            creation_tx_hash=keccak256(b"tx"), warnings=["inline-assembly"],
+            timestamp=1.0))
+        store.store_record(record(ATTACKER, timestamp=2.0))
+        store.store_record(record(
+            ATTACKER, grade=Grade.EXACT,
+            sources={"x/../b.sol": "b", "./c//d.sol": "d"}, timestamp=3.0))
+        store.store_record(record(
+            WRITER, sources={f"../../{VICTIM}/sources/a.sol": "evil"},
+            timestamp=4.0))
+        assert store.snapshot() == PINNED_FILES
+        assert {os.path.relpath(d, store.root)
+                for d, _, _ in os.walk(store.root)} == PINNED_DIRS
+        # created with the mode open() gives a new file
+        (tmp_path / "probe").write_bytes(b"")
+        mode = os.stat(tmp_path / "probe").st_mode
+        assert {os.stat(store.root / f).st_mode for f in PINNED_FILES} == {mode}
 
 
 class TestIntegrity:
