@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .bytecode import parse_hex
 from .errors import CompilerFailureError, MalformedRequestError
 from .linker import (
+    PLACEHOLDER_CODE_BYTES,
     PlaceholderForm,
     PlaceholderSpan,
     declared_placeholders,
@@ -163,9 +164,8 @@ class FixtureCompiler(CompilerInterface):
     references the injected file.
     """
 
-    def __init__(self, auto_perturb: bool = True) -> None:
+    def __init__(self) -> None:
         self._table: dict[str, CompilationOutput] = {}
-        self._auto_perturb = auto_perturb
 
     def register(self, sources: dict[str, str], settings: CompileSettings,
                  output: CompilationOutput) -> None:
@@ -176,12 +176,11 @@ class FixtureCompiler(CompilerInterface):
         key = request_digest(sources, settings)
         if key in self._table:
             return self._table[key]
-        if self._auto_perturb:
-            if INJECTED_FILENAME in sources:
-                base = {k: v for k, v in sources.items() if k != INJECTED_FILENAME}
-                base_key = request_digest(base, settings)
-                if base_key in self._table:
-                    return self._perturb(self._table[base_key])
+        if INJECTED_FILENAME in sources:
+            base = {k: v for k, v in sources.items() if k != INJECTED_FILENAME}
+            base_key = request_digest(base, settings)
+            if base_key in self._table:
+                return self._perturb(self._table[base_key])
         raise CompilerFailureError(f"no fixture registered for digest {key[:16]}")
 
     @staticmethod
@@ -238,31 +237,70 @@ class ExternalCompiler(CompilerInterface):
             raise CompilerFailureError(
                 f"compiler exited {proc.returncode}: {proc.stderr.strip()[:500]}")
         try:
-            payload = json.loads(proc.stdout)
-            link_refs = [
-                PlaceholderSpan(
-                    offset=item["offset"],
-                    file_path=item.get("filePath", ""),
-                    lib_name=item["libName"],
-                    form=(PlaceholderForm.LEGACY if item.get("form") == "legacy"
-                          else PlaceholderForm.HASH),
-                )
-                for item in payload.get("linkReferences", [])
-            ]
-            params = payload.get("constructorParams")
-            return CompilationOutput(
-                creation_code=parse_hex(payload["creation"]),
-                runtime_template=parse_hex(payload["runtime"]),
-                immutable_refs=[
-                    ImmutableRef(item["offset"], item["length"], item.get("name", ""))
-                    for item in payload.get("immutableReferences", [])
-                ],
-                link_refs=link_refs,
-                ctor_params=None if params is None else list(params),
-                uses_inline_assembly=bool(payload.get("usesInlineAssembly", False)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return _artifact(json.loads(proc.stdout))
+        except (TypeError, ValueError, RecursionError) as exc:
             raise CompilerFailureError(f"unusable compiler output: {exc}") from exc
+
+
+def _artifact(payload: object) -> CompilationOutput:
+    """ExternalCompiler's output from its artifact.  Every field must have
+    the type the artifact shape names and every immutable and link reference
+    must lie inside the runtime; otherwise raises TypeError or ValueError."""
+    if not isinstance(payload, dict):
+        raise TypeError("the artifact is not a JSON object")
+    runtime = parse_hex(_text(payload, "runtime"))
+    params = payload.get("constructorParams")
+    if params is not None and not (isinstance(params, list) and all(
+            isinstance(param, str) for param in params)):
+        raise TypeError(f"constructorParams must be null or a list of ABI "
+                        f"type strings, got {params!r}")
+    return CompilationOutput(
+        creation_code=parse_hex(_text(payload, "creation")),
+        runtime_template=runtime,
+        immutable_refs=[
+            ImmutableRef(_inside(item, item.get("length"), runtime),
+                         item["length"], _text(item, "name", ""))
+            for item in _objects(payload, "immutableReferences")],
+        link_refs=[
+            PlaceholderSpan(
+                offset=_inside(item, PLACEHOLDER_CODE_BYTES, runtime),
+                file_path=_text(item, "filePath", ""),
+                lib_name=_text(item, "libName"),
+                form=(PlaceholderForm.LEGACY if item.get("form") == "legacy"
+                      else PlaceholderForm.HASH))
+            for item in _objects(payload, "linkReferences")],
+        ctor_params=params,
+        uses_inline_assembly=bool(payload.get("usesInlineAssembly", False)),
+    )
+
+
+def _text(item: dict, key: str, default: str | None = None) -> str:
+    """item[key], a string; default when absent, where there is one."""
+    value = item.get(key, default)
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _objects(payload: dict, key: str) -> list[dict]:
+    """payload[key], a list of objects; empty when absent."""
+    items = payload.get(key, [])
+    if not (isinstance(items, list)
+            and all(isinstance(item, dict) for item in items)):
+        raise TypeError(f"{key} must be a list of objects")
+    return items
+
+
+def _inside(item: dict, length: object, code: bytes) -> int:
+    """The reference's offset, if it and length place it inside code."""
+    offset = item.get("offset")
+    if type(offset) is not int or type(length) is not int:
+        raise TypeError(f"reference offset {offset!r} and length {length!r} "
+                        f"must be integers")
+    if not 0 <= offset <= offset + length <= len(code):
+        raise ValueError(f"reference [{offset}, {offset + length}) lies "
+                         f"outside the runtime of {len(code)} bytes")
+    return offset
 
 
 def make_creation_code(runtime: bytes, extra: bytes = b"") -> bytes:

@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 import posixpath
+import re
 import shutil
 import stat
 import string
@@ -53,6 +54,9 @@ _WRITE_LOCKS = 64
 
 # bytes asked for per read; a manifest or a typical body takes one
 _READ_SIZE = 1 << 16
+
+# a hash as the manifest spells it
+_HASH = re.compile("0x[0-9a-f]{64}")
 
 
 def normalize_address(address: str | bytes) -> str:
@@ -99,32 +103,11 @@ def _write_bytes(path: str, data: bytes) -> None:
         os.close(fd)
 
 
-def _is_file(path: str) -> bool:
-    try:
-        return stat.S_ISREG(os.stat(path).st_mode)
-    except (FileNotFoundError, NotADirectoryError):
-        return False
-
-
 def _source_path(sources_dir: str, virtual_path: str) -> str:
     """Where a virtual path's body lives, normalized as _check_layout checks
     it: ``.``, empty parts and ``..`` steps fold away, and an absolute path
     replaces the sources folder."""
     return posixpath.normpath(posixpath.join(sources_dir, virtual_path))
-
-
-def _parse_manifest(raw: bytes, where: str) -> dict:
-    try:
-        manifest = json.loads(raw)
-    except ValueError as exc:
-        raise CorruptRecordError(f"manifest of {where} does not parse") from exc
-    if not isinstance(manifest, dict):
-        raise CorruptRecordError(f"manifest of {where} is not a JSON object")
-    return manifest
-
-
-def _read_manifest(directory: str, where: str) -> dict:
-    return _parse_manifest(_read_bytes(directory + "/" + RECORD_FILENAME), where)
 
 
 @dataclass
@@ -176,6 +159,9 @@ class RecordStore:
         # the root and its ancestors, normalized: directories that exist
         self._root_dirs = frozenset(posixpath.normpath(os.fspath(d))
                                     for d in (self.root, *self.root.parents))
+        # what a normalized path under the root starts with; "" for a root "."
+        self._inside = posixpath.join(posixpath.normpath(self._root),
+                                      "").removeprefix("./")
         try:
             self._name_max = os.pathconf(self.root, "PC_NAME_MAX")
         except (AttributeError, OSError, ValueError):  # no pathconf here
@@ -190,8 +176,11 @@ class RecordStore:
     def _find(self, address: str) -> tuple[Grade, str] | None:
         for grade in _STORABLE_GRADES:
             directory = self._record_dir(grade, address)
-            if _is_file(directory + "/" + RECORD_FILENAME):
-                return grade, directory
+            try:
+                if stat.S_ISREG(os.stat(directory + "/" + RECORD_FILENAME).st_mode):
+                    return grade, directory
+            except (FileNotFoundError, NotADirectoryError):
+                pass
         return None
 
     # --- writing ---
@@ -336,7 +325,15 @@ class RecordStore:
             body = text.encode("utf-8")
             _write_bytes(target, body)
             digests[virtual_path] = _sha256_hex(body)
-        manifest = {
+        _write_bytes(manifest_path, self._encode(record, digests))
+
+    # --- the manifest ---
+
+    @staticmethod
+    def _encode(record: VerificationRecord, digests: dict[str, str]) -> bytes:
+        """The manifest: every field of the record but its bodies, which it
+        lists by virtual path with their sha256.  _decode reads it back."""
+        return (json.dumps({
             "address": record.address,
             "grade": record.grade.value,
             "target": record.fully_qualified_target,
@@ -347,14 +344,60 @@ class RecordStore:
             "warnings": list(record.warnings),
             "timestamp": record.timestamp,
             "sourceDigests": digests,
-        }
-        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        _write_bytes(manifest_path, text.encode("utf-8"))
+        }, indent=2, sort_keys=True) + "\n").encode()
+
+    def _decode(self, raw: bytes, directory: str, where: str
+                ) -> tuple[dict, dict[str, tuple[str, str]]]:
+        """The keyword arguments of the record in directory but its address,
+        grade and sources, and each virtual path's body path and digest.
+        Raises CorruptRecordError for a manifest that does not parse, a field
+        of another type, or a body path outside the store root."""
+        try:
+            manifest = json.loads(raw)
+            target, settings, code_hex, tx_hex, warnings, timestamp, digests = (
+                manifest[key] for key in ("target", "settings", "codeHash",
+                "creationTxHash", "warnings", "timestamp", "sourceDigests"))
+        except (ValueError, RecursionError, TypeError, KeyError) as exc:
+            raise CorruptRecordError(f"manifest of {where} is not a JSON "
+                                     f"object with every field: {exc!r}") from exc
+        for key, valid in (
+                ("target", isinstance(target, str)),
+                ("settings", isinstance(settings, dict)),
+                ("codeHash", isinstance(code_hex, str) and _HASH.fullmatch(code_hex)),
+                ("creationTxHash", tx_hex is None or isinstance(tx_hex, str)
+                 and _HASH.fullmatch(tx_hex)),
+                ("warnings", isinstance(warnings, list)
+                 and all(isinstance(w, str) for w in warnings)),
+                ("timestamp", type(timestamp) in (int, float)),
+                ("sourceDigests", isinstance(digests, dict) and digests != {}
+                 and all(isinstance(d, str) for d in digests.values()))):
+            if not valid:
+                raise CorruptRecordError(f"manifest of {where} has no valid {key}")
+        bodies = {}
+        for virtual_path, digest in digests.items():
+            path = _source_path(directory + "/sources", virtual_path)
+            # past the prefix, a name: not absolute, not the root, no climb
+            head = path[len(self._inside):].partition("/")[0]
+            if not path.startswith(self._inside) or head in ("", ".", ".."):
+                raise CorruptRecordError(
+                    f"source {virtual_path!r} of {where} lies outside the store")
+            bodies[virtual_path] = path, digest
+        return dict(fully_qualified_target=target, settings=settings,
+                    code_hash_at_verification=bytes.fromhex(code_hex[2:]),
+                    creation_tx_hash=tx_hex and bytes.fromhex(tx_hex[2:]),
+                    warnings=warnings, timestamp=timestamp), bodies
 
     # --- reading ---
 
     def has(self, address: str | bytes) -> bool:
         return self._find(normalize_address(address)) is not None
+
+    def _locate(self, address: str | bytes) -> tuple[str, Grade, str]:
+        """The stored record's address, grade and directory."""
+        key = normalize_address(address)
+        if (found := self._find(key)) is None:
+            raise NotVerifiedError(f"no record for {key}")
+        return key, *found
 
     def load(self, address: str | bytes) -> VerificationRecord:
         """Rebuild the record, reading source bodies from the tree.
@@ -364,75 +407,26 @@ class RecordStore:
         the way it is visible to anyone browsing the store.  A body that is
         missing, is not a file or is not UTF-8 makes the record corrupt.
         """
-        key = normalize_address(address)
-        found = self._find(key)
-        if found is None:
-            raise NotVerifiedError(f"no record for {key}")
-        grade, directory = found
-        manifest = _read_manifest(directory, key)
-        sources_dir = directory + "/sources"
-        try:
-            sources = {}
-            for virtual_path in manifest["sourceDigests"]:
-                try:
-                    sources[virtual_path] = _read_bytes(_source_path(
-                        sources_dir, virtual_path)).decode("utf-8")
-                except (OSError, ValueError) as exc:
-                    raise CorruptRecordError(
-                        f"source {virtual_path!r} of {key} does not load: "
-                        f"{exc!r}") from exc
-            tx_hex = manifest["creationTxHash"]
-            return VerificationRecord(
-                address=manifest["address"],
-                grade=Grade(manifest["grade"]),
-                sources=sources,
-                fully_qualified_target=manifest["target"],
-                settings=manifest["settings"],
-                code_hash_at_verification=bytes.fromhex(manifest["codeHash"][2:]),
-                creation_tx_hash=bytes.fromhex(tx_hex[2:]) if tx_hex else None,
-                warnings=list(manifest["warnings"]),
-                timestamp=manifest["timestamp"],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptRecordError(
-                f"manifest of {key} does not describe a record: {exc!r}") from exc
+        key, grade, directory = self._locate(address)
+        fields, bodies = self._decode(_read_bytes(
+            directory + "/" + RECORD_FILENAME), directory, key)
+        sources = {}
+        for virtual_path, (path, _) in bodies.items():
+            try:
+                sources[virtual_path] = _read_bytes(path).decode("utf-8")
+            except (OSError, ValueError) as exc:
+                raise CorruptRecordError(
+                    f"source {virtual_path!r} of {key} does not load: "
+                    f"{exc!r}") from exc
+        return VerificationRecord(key, grade, sources, **fields)
 
     def stored_grade(self, address: str | bytes) -> Grade:
-        found = self._find(normalize_address(address))
-        if found is None:
-            raise NotVerifiedError(f"no record for {normalize_address(address)}")
-        return found[0]
+        return self._locate(address)[1]
 
-    def list_addresses(self) -> list[str]:
-        seen = set()
-        for grade in _STORABLE_GRADES:
-            try:
-                entries = os.scandir(f"{self._root}/{grade.value}")
-            except (FileNotFoundError, NotADirectoryError):
-                continue
-            with entries:
-                for entry in entries:
-                    if _is_file(entry.path + "/" + RECORD_FILENAME):
-                        seen.add(entry.name)
-        return sorted(seen)
-
-    def records(self) -> Iterator[VerificationRecord]:
-        for address in self.list_addresses():
-            yield self.load(address)
-
-    def find_by_code_hash(self, code_hash: bytes) -> list[VerificationRecord]:
-        """Donor candidates for runtime-identical inheritance, by address.
-
-        One pass over exact/ and then partial/ reads each manifest once.  An
-        address already seen in exact/ is skipped, the shadowing _find
-        applies.  Only a manifest whose bytes hold the hash as _write spells
-        it, quoted, is parsed, and only its parsed codeHash decides; the
-        rest cost one read.  Still linear in the number of records.
-        """
-        want = "0x" + code_hash.hex()
-        needle = f'"{want}"'.encode()
+    def _scan(self) -> Iterator[tuple[os.DirEntry, bytes]]:
+        """Each stored address's directory and manifest bytes, exact/ first;
+        an address whose exact/ manifest was read is not listed again."""
         seen: set[str] = set()
-        hits = []
         for grade in _STORABLE_GRADES:
             try:
                 entries = os.scandir(f"{self._root}/{grade.value}")
@@ -444,32 +438,41 @@ class RecordStore:
                         continue
                     try:
                         raw = _read_bytes(entry.path + "/" + RECORD_FILENAME)
-                    except (FileNotFoundError, NotADirectoryError,
-                            IsADirectoryError):
+                    except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
                         continue
                     seen.add(entry.name)
-                    if (needle in raw and _parse_manifest(raw, entry.name)
-                            .get("codeHash") == want):
-                        hits.append(entry.name)
-        return [self.load(address) for address in sorted(hits)]
+                    yield entry, raw
+
+    def list_addresses(self) -> list[str]:
+        return sorted(entry.name for entry, _ in self._scan())
+
+    def records(self) -> Iterator[VerificationRecord]:
+        return map(self.load, self.list_addresses())
+
+    def find_by_code_hash(self, code_hash: bytes) -> list[VerificationRecord]:
+        """Donor candidates for runtime-identical inheritance, by address.
+
+        Only a scanned manifest whose bytes hold the hash quoted is decoded,
+        and its decoded codeHash decides.  Still linear in the records.
+        """
+        needle = f'"0x{code_hash.hex()}"'.encode()
+        hits = sorted(
+            entry.name for entry, raw in self._scan() if needle in raw
+            and self._decode(raw, entry.path, entry.name)[0][
+                "code_hash_at_verification"] == code_hash)
+        return [self.load(address) for address in hits]
 
     # --- integrity ---
 
     def verify_integrity(self, address: str | bytes) -> list[str]:
         """Virtual paths whose on-disk body no longer matches its digest."""
-        key = normalize_address(address)
-        found = self._find(key)
-        if found is None:
-            raise NotVerifiedError(f"no record for {key}")
-        _, directory = found
-        digests = _read_manifest(directory, key).get("sourceDigests")
-        if not isinstance(digests, dict):
-            raise CorruptRecordError(f"manifest of {key} lists no source digests")
-        sources_dir = directory + "/sources"
+        key, _, directory = self._locate(address)
+        _, bodies = self._decode(_read_bytes(
+            directory + "/" + RECORD_FILENAME), directory, key)
         tampered = []
-        for virtual_path, digest in digests.items():
+        for virtual_path, (path, digest) in bodies.items():
             try:
-                body = _read_bytes(_source_path(sources_dir, virtual_path))
+                body = _read_bytes(path)
             except (OSError, ValueError):  # missing, not a file, a NUL byte
                 body = None
             if body is None or _sha256_hex(body) != digest:
@@ -478,8 +481,5 @@ class RecordStore:
 
     def snapshot(self) -> dict[str, str]:
         """sha256 of every file under the root, keyed by relative path."""
-        digests = {}
-        for path in sorted(self.root.rglob("*")):
-            if path.is_file():
-                digests[str(path.relative_to(self.root))] = _sha256_hex(path.read_bytes())
-        return digests
+        return {str(path.relative_to(self.root)): _sha256_hex(path.read_bytes())
+                for path in sorted(self.root.rglob("*")) if path.is_file()}

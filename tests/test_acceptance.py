@@ -186,7 +186,7 @@ def test_criterion_4_metadata_scan_strip_and_differential_masking():
     variant[9] = 0x01
     sources = {"contracts/token.sol": "contract Token { uint8 fee = 1; }\n"}
     settings = CompileSettings(target="contracts/token.sol:Token")
-    compiler = FixtureCompiler(auto_perturb=False)
+    compiler = FixtureCompiler()
     baseline = CompilationOutput(
         creation_code=make_creation_code(innocent), runtime_template=innocent)
     compiler.register(sources, settings, baseline)

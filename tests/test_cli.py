@@ -274,3 +274,75 @@ class TestAttackLabCommands:
         code, _, err = run(capsys, "filter-r1", str(tmp_path))
         assert code == 1
         assert "no *.hex files" in err
+
+
+def artifact_compiler(tmp_path, artifact):
+    """A stand-in for solc that prints the given artifact, as JSON."""
+    script = tmp_path / "artifact_solc.py"
+    script.write_text("import sys\nsys.stdin.read()\n"
+                      f"print({json.dumps(json.dumps(artifact))})\n")
+    return f"{sys.executable} {script}"
+
+
+ARTIFACT = {"creation": "0x" + CREATION.hex(), "runtime": "0x" + RUNTIME.hex()}
+
+
+class TestExternalCompilerArtifact:
+    def test_checked_artifact_verifies(self, world, tmp_path, capsys):
+        artifact = dict(
+            ARTIFACT, constructorParams=[],
+            immutableReferences=[{"offset": 2, "length": 1, "name": "v"}])
+        code, out, _ = run(capsys, "verify", world["request"],
+                           "--chain", world["chain"],
+                           "--store", world["store"], "--compiler",
+                           artifact_compiler(tmp_path, artifact))
+        assert code == 0
+        assert json.loads(out)["grade"] == "exact"
+
+    @pytest.mark.parametrize("artifact", [
+        [ARTIFACT["creation"], ARTIFACT["runtime"]],
+        dict(ARTIFACT, runtime=5),
+        dict(ARTIFACT, immutableReferences=[{"offset": 0, "length": "2"}]),
+        dict(ARTIFACT, immutableReferences=[{"offset": 0, "length": True}]),
+        dict(ARTIFACT, immutableReferences=[{"offset": -4, "length": 2}]),
+        dict(ARTIFACT, immutableReferences=[{"offset": 100, "length": 2}]),
+        dict(ARTIFACT, immutableReferences=[{"offset": 0, "length": 2,
+                                             "name": 7}]),
+        dict(ARTIFACT, immutableReferences={"offset": 0, "length": 2}),
+        dict(ARTIFACT, linkReferences=[{"offset": len(RUNTIME) - 19,
+                                        "libName": "L"}]),
+        dict(ARTIFACT, linkReferences=[{"offset": 0, "libName": 5}]),
+        dict(ARTIFACT, constructorParams=[5]),
+        dict(ARTIFACT, constructorParams="uint256"),
+    ], ids=["list", "runtime-int", "length-str", "length-bool",
+            "offset-negative", "offset-past-runtime", "name-int",
+            "references-object", "link-past-runtime", "lib-name-int",
+            "params-int", "params-str"])
+    def test_malformed_artifact_is_refused(self, world, tmp_path, capsys,
+                                           artifact):
+        code, out, err = run(capsys, "verify", world["request"],
+                             "--chain", world["chain"],
+                             "--store", world["store"], "--compiler",
+                             artifact_compiler(tmp_path, artifact))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "unusable compiler output" in err
+        assert not Path(world["store"], "exact").exists()
+
+
+class TestDamagedStore:
+    def test_query_of_a_manifest_with_null_settings_is_an_error(
+            self, world, capsys):
+        run(capsys, "verify", world["request"], "--chain", world["chain"],
+            "--store", world["store"], "--compiler", world["compiler"])
+        manifest = Path(world["store"], "exact", world["address"], "record")
+        damaged = json.loads(manifest.read_text())
+        damaged["settings"] = None
+        manifest.write_text(json.dumps(damaged))
+        code, out, err = run(capsys, "query", world["address"],
+                             "--chain", world["chain"],
+                             "--store", world["store"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: manifest of ")

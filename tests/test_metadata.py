@@ -377,15 +377,6 @@ class TestFixtureCompiler:
         b = compiler.compile(perturbed, settings)
         assert a.runtime_template == b.runtime_template
 
-    def test_auto_perturb_off(self):
-        compiler = FixtureCompiler(auto_perturb=False)
-        settings = CompileSettings(target="box.sol:Box")
-        register_simple(compiler, fixture_sources(), settings, BODY + BLOCK)
-        perturbed = dict(fixture_sources())
-        perturbed[INJECTED_FILENAME] = "x"
-        with pytest.raises(CompilerFailureError):
-            compiler.compile(perturbed, settings)
-
 
 class TestRequestValidation:
     def test_target_must_be_in_sources(self):

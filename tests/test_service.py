@@ -1,14 +1,18 @@
 """Service pipeline: sanitization, profiles, submit/query/inherit/import."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srcverify._keccak import keccak256
 from srcverify.chain import MockChain, RedeployStatus
@@ -635,6 +639,24 @@ class TestQuery:
             w.service.inherit_identical_runtime(clone)
         assert w.store.verify_integrity(w.address) == ["contracts/a.sol"]
 
+    @pytest.mark.parametrize("key", ["absolute", "climbing"])
+    def test_manifest_key_outside_the_store_is_a_corrupt_record(
+            self, tmp_path, key):
+        w = build(HARDENED, tmp_path)
+        w.service.submit_verification(w.request)
+        host = tmp_path / "host.sol"
+        host.write_text("contract Host {}\n")
+        # from records/exact/<address>/sources, four steps up is tmp_path
+        path = str(host) if key == "absolute" else "../../../../host.sol"
+        damage_manifest(w, lambda manifest: manifest.update(sourceDigests={
+            path: hashlib.sha256(host.read_bytes()).hexdigest()}))
+        for read in (w.store.load, w.store.verify_integrity, w.service.query):
+            with pytest.raises(CorruptRecordError, match="outside the store"):
+                read(w.address)
+        clone = w.chain.mock_deploy(RUNTIME, w.output.creation_code)
+        with pytest.raises(CorruptRecordError, match="outside the store"):
+            w.service.inherit_identical_runtime(clone)
+
     def test_non_ascii_source_round_trips_under_an_ascii_locale(self):
         tests = Path(__file__).parent
         env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C",
@@ -670,6 +692,55 @@ print("ok")
 
 CAP_RUNTIME = BODY + bytes(24576 - len(BODY) - len(BLOCK_A)) + BLOCK_A
 FACTORY, SALT, INIT = b"\x11" * 20, b"\x22" * 32, bytes.fromhex("600080f3")
+
+
+def damage_manifest(w, damage) -> None:
+    """Apply damage to the parsed manifest of w's stored exact record."""
+    path = w.store.root / "exact" / f"0x{w.address.hex()}" / "record"
+    manifest = json.loads(path.read_text())
+    damage(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+MANIFEST_FIELDS = ["address", "grade", "target", "settings", "codeHash",
+                   "creationTxHash", "warnings", "timestamp", "sourceDigests"]
+# the digest of the record's one source
+SOURCE_DIGEST = "sourceDigests/contracts/a.sol"
+
+json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(max_size=4), st.just("0x" + "ab" * 32),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+class TestManifestDamage:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(MANIFEST_FIELDS + [SOURCE_DIGEST]), json_values)
+    def test_every_read_returns_or_refuses(self, field, value):
+        """One manifest field, or the source's digest, set to a drawn JSON
+        value: every read either returns or raises a VerifierError."""
+        with tempfile.TemporaryDirectory() as tmp:
+            w = build(HARDENED, Path(tmp))
+            w.service.submit_verification(w.request)
+
+            def damage(manifest):
+                if field == SOURCE_DIGEST:
+                    manifest["sourceDigests"]["contracts/a.sol"] = value
+                else:
+                    manifest[field] = value
+
+            damage_manifest(w, damage)
+            clone = w.chain.mock_deploy(RUNTIME, w.output.creation_code)
+            for read in (lambda: w.store.load(w.address),
+                         lambda: w.store.verify_integrity(w.address),
+                         lambda: w.store.find_by_code_hash(keccak256(RUNTIME)),
+                         lambda: w.service.query(w.address),
+                         lambda: w.service.inherit_identical_runtime(clone)):
+                try:
+                    read()
+                except VerifierError:
+                    pass
 
 
 class TestCodeHashedOnce:

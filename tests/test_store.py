@@ -1,5 +1,7 @@
 """Record store: layout, replacement lattice, integrity digests."""
 
+import hashlib
+import json
 import os
 import re
 import sys
@@ -512,27 +514,60 @@ class TestCodeHashLookup:
             root = Path(tmp) / "store"
             for (address, grade), entry in zip(LOOKUP_CELLS, entries):
                 place(root, address, grade, entry)
-            found = RecordStore(root).find_by_code_hash(WANTED)
+            store = RecordStore(root)
+            found = store.find_by_code_hash(WANTED)
             assert [(r.address, r.grade.value) for r in found] == \
                 code_hash_lookup_oracle(root, WANTED)
             assert all(r.code_hash_at_verification == WANTED for r in found)
+            assert store.list_addresses() == sorted(
+                {address for (address, _), entry in zip(LOOKUP_CELLS, entries)
+                 if isinstance(entry, VerificationRecord)})
+
+
+HOST_TEXT = "contract Host {}"
+HOST_DIGEST = hashlib.sha256(HOST_TEXT.encode()).hexdigest()
 
 
 class TestCorruptManifest:
-    def _clobbered(self, tmp_path, text):
-        store = RecordStore(tmp_path)
+    def _clobbered(self, tmp_path, damage):
+        """A store at tmp_path/store whose one record's manifest is the
+        damage text, or the stored manifest updated with the damage dict;
+        there "TMP" stands for tmp_path, which holds a file "host"."""
+        store = RecordStore(tmp_path / "store")
         store.store_record(record(VICTIM, grade=Grade.EXACT))
-        (tmp_path / "exact" / VICTIM / "record").write_text(text)
+        manifest = store.root / "exact" / VICTIM / "record"
+        if isinstance(damage, dict):
+            (tmp_path / "host").write_text(HOST_TEXT)
+            stored = json.loads(manifest.read_text())
+            damage = json.dumps({**stored, **damage}).replace(
+                "TMP", str(tmp_path))
+        manifest.write_text(damage)
         return store
 
-    @pytest.mark.parametrize("text", ["contract Evil {}", "", "[1]", "{}",
-                                      '{"sourceDigests": 5}'])
-    def test_load_and_integrity_raise_corrupt_record(self, tmp_path, text):
-        store = self._clobbered(tmp_path, text)
+    @pytest.mark.parametrize("damage", [
+        "contract Evil {}", "", "[1]", "{}", '{"sourceDigests": 5}',
+        pytest.param("[" * 100_000, id="nested-past-the-recursion-limit"),
+        pytest.param({"settings": None}, id="settings-null"),
+        pytest.param({"warnings": "abc"}, id="warnings-string"),
+        pytest.param({"sourceDigests": {"TMP/host": HOST_DIGEST}},
+                     id="absolute-key-outside-the-store"),
+        pytest.param({"sourceDigests": {"../../../../host": HOST_DIGEST}},
+                     id="climbing-key-outside-the-store"),
+    ])
+    def test_load_and_integrity_raise_corrupt_record(self, tmp_path, damage):
+        store = self._clobbered(tmp_path, damage)
         with pytest.raises(CorruptRecordError):
             store.load(VICTIM)
         with pytest.raises(CorruptRecordError):
             store.verify_integrity(VICTIM)
+
+    def test_address_and_grade_come_from_the_location(self, tmp_path):
+        store = self._clobbered(tmp_path, {"address": ATTACKER,
+                                           "grade": "partial"})
+        loaded = store.load(VICTIM)
+        assert (loaded.address, loaded.grade) == (VICTIM, Grade.EXACT)
+        assert store.find_by_code_hash(loaded.code_hash_at_verification) \
+            == [loaded]
 
     def test_lookup_reads_past_a_manifest_without_the_hash(self, tmp_path):
         store = self._clobbered(tmp_path, "contract Evil {}")
