@@ -19,6 +19,7 @@ from .errors import (
     MalformedValueError,
     OffsetOutOfRangeError,
     TrailingBytesError,
+    UnsupportedAbiTypeError,
 )
 
 WORD = 32
@@ -49,16 +50,25 @@ class AbiParam:
 
 
 def parse_type(text: str) -> AbiParam:
+    """The parameter a type string declares, or UnsupportedAbiTypeError."""
+    try:
+        return _parse_type(text)
+    except (ValueError, RecursionError) as exc:  # int(), rindex(), nesting
+        raise UnsupportedAbiTypeError(
+            f"unsupported ABI type {text!r}: {exc}") from exc
+
+
+def _parse_type(text: str) -> AbiParam:
     s = text.strip()
     if s.endswith("]"):
         open_idx = s.rindex("[")
         count = s[open_idx + 1:-1]
-        element = parse_type(s[:open_idx])
+        element = _parse_type(s[:open_idx])
         if count == "":
             return AbiParam("dynamic-array", element=element)
         n = int(count)
         if n <= 0:
-            raise ValueError(f"array length must be positive in {text!r}")
+            raise ValueError("array length must be positive")
         return AbiParam("static-array", width=n, element=element)
     if s in ("uint", "uint256"):
         return AbiParam("uint256")
@@ -71,7 +81,7 @@ def parse_type(text: str) -> AbiParam:
         if not 1 <= n <= 32:
             raise ValueError(f"fixed bytes width must be 1..32, got {n}")
         return AbiParam("fixed-bytes", width=n)
-    raise ValueError(f"unsupported ABI type {text!r}")
+    raise ValueError("not a supported type")
 
 
 def parse_params(type_strings: list[str]) -> list[AbiParam]:

@@ -732,12 +732,6 @@ GUARDS: dict[str, Guard] = {
     "allow_record_replacement": Guard(None, False),
 }
 
-TOGGLE_RISKS: dict[str, str | None] = {
-    name: guard.scenario for name, guard in GUARDS.items()}
-
-CANONICAL_TOGGLE: dict[str, str] = {
-    guard.scenario: name for name, guard in GUARDS.items() if guard.canonical}
-
 _RESIDUAL_NOTE = (
     "partial-matching", "R1",
     "a hand-crafted twin can still earn a metadata-stripped partial match; "

@@ -8,7 +8,7 @@ rejected, so arbitrary byte strings (including metadata tails) always decode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._keccak import keccak256
 from .errors import NonHexCharacterError, OddLengthError
@@ -138,8 +138,3 @@ def disassemble(code: bytes) -> list[Instruction]:
             out.append(Instruction(i, op))
             i += 1
     return out
-
-
-def reassemble(instructions: list[Instruction]) -> bytes:
-    """Concatenate opcodes and immediates back into bytes."""
-    return b"".join(bytes([ins.opcode]) + ins.immediate for ins in instructions)

@@ -126,6 +126,10 @@ class MalformedValueError(AbiDecodeError):
     """A decoded word violates its type's shape (address padding, bool range, ...)."""
 
 
+class UnsupportedAbiTypeError(VerifierError, ValueError):
+    """A declared constructor parameter type is outside the supported set."""
+
+
 # --- matching ---
 
 class EmptyLocalBytecodeError(VerifierError):

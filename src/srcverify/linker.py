@@ -62,11 +62,6 @@ class LibraryBinding:
     matched_offsets: list[int] = field(default_factory=list)
     unset: bool = False         # on-chain bytes at the site were all zero
 
-    @property
-    def extra_offsets(self) -> list[int]:
-        """Sites rewritten beyond the declared one (naive-mode spillover)."""
-        return [o for o in self.matched_offsets if o != self.span.offset]
-
 
 def render_placeholder_text(span: PlaceholderSpan) -> str:
     """The placeholder as it appears in textual compiler output (40 chars)."""

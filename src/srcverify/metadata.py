@@ -85,15 +85,6 @@ def make_metadata_block(ipfs_payload: bytes, solc_version: bytes = b"\x00\x08\x0
     return block
 
 
-def make_legacy_metadata_block(swarm_hash: bytes) -> bytes:
-    """Assemble the 43-byte 0.4-era trailing block (swarm hash form)."""
-    if len(swarm_hash) != 32:
-        raise ValueError(f"swarm hash must be 32 bytes, got {len(swarm_hash)}")
-    block = LEGACY_MARKER + b"\x58\x20" + swarm_hash + b"\x00\x29"
-    assert len(block) == LEGACY_BLOCK_LENGTH
-    return block
-
-
 def matches_pattern_at(code: bytes, start: int) -> bool:
     """True when a full, length-consistent block begins at start."""
     end = start + PATTERN_LENGTH

@@ -87,46 +87,35 @@ HARDENED = VerifierConfig(
     accept_imported_records=False,
 )
 
-NAIVE_ETHERSCAN_LIKE = VerifierConfig(
+NAIVE_ETHERSCAN_LIKE = replace(
+    HARDENED,
     name="NaiveEtherscanLike",
     requirement=Requirement.BOTH,
-    strict_creation_prefix=True,
     immutable_strategy=ImmutableStrategy.CHAIN_BACKFILL,
-    placeholder_mode=PlaceholderMode.OFFSET_LITERAL,
-    metadata_labeler=MetadataLabeler.PATTERN_SCAN,
-    trust_simulated_return=False,
-    allow_parent_path_refs=False,
     disclose_full_paths=False,
     require_verified_libraries=False,
     recheck_code_hash_on_read=False,
     inherit_flagged_donors=True,
     allow_record_replacement=False,
-    accept_imported_records=False,
 )
 
-NAIVE_SOURCIFY_LIKE = VerifierConfig(
+NAIVE_SOURCIFY_LIKE = replace(
+    HARDENED,
     name="NaiveSourcifyLike",
-    requirement=Requirement.EITHER,
     strict_creation_prefix=False,
-    immutable_strategy=ImmutableStrategy.SIM_GUARDED,
     placeholder_mode=PlaceholderMode.REGEX_NAIVE,
-    metadata_labeler=MetadataLabeler.PATTERN_SCAN,
     trust_simulated_return=True,
     allow_parent_path_refs=True,
-    disclose_full_paths=True,
     require_verified_libraries=False,
     recheck_code_hash_on_read=False,
     inherit_flagged_donors=True,
-    allow_record_replacement=True,
-    accept_imported_records=False,
 )
 
-NAIVE_BLOCKSCOUT_LIKE = VerifierConfig(
+NAIVE_BLOCKSCOUT_LIKE = replace(
+    HARDENED,
     name="NaiveBlockscoutLike",
     requirement=Requirement.CREATION_ONLY,
     strict_creation_prefix=False,
-    immutable_strategy=ImmutableStrategy.SIM_GUARDED,
-    placeholder_mode=PlaceholderMode.OFFSET_LITERAL,
     metadata_labeler=MetadataLabeler.DIFFERENTIAL,
     trust_simulated_return=True,
     allow_parent_path_refs=True,
@@ -243,8 +232,8 @@ def _attempt(step, *args, **kwargs):
 class VerifyService:
     """One verifier instance: a config, a compiler, a chain, a store.
 
-    Writes are serialized per address by the store; everything before the
-    store step may run concurrently for distinct submissions.
+    check decides what a submission would store and writes nothing, so it
+    may run concurrently; _admit writes, serialized per address by the store.
     """
 
     def __init__(self, config: VerifierConfig, compiler: CompilerInterface,
@@ -257,6 +246,11 @@ class VerifyService:
     # --- submission ---
 
     def submit_verification(self, request: VerificationRequest) -> VerificationRecord:
+        return self._admit(self.check(request))
+
+    def check(self, request: VerificationRequest) -> VerificationRecord:
+        """The record submit_verification would store for request, or the
+        VerifierError that refuses it; reads, compiles and matches only."""
         cfg = self.config
         if request.address is None:
             raise MalformedRequestError("request names no contract address")
@@ -300,7 +294,7 @@ class VerifyService:
         if request.declared_libraries:
             settings_dict["libraries"] = dict(request.declared_libraries)
 
-        record = VerificationRecord(
+        return VerificationRecord(
             address=address,
             grade=result.grade,
             sources=sources,
@@ -310,8 +304,11 @@ class VerifyService:
             creation_tx_hash=tx_hash,
             warnings=list(dict.fromkeys(warnings)),
         )
+
+    def _admit(self, record: VerificationRecord) -> VerificationRecord:
+        """The service's one write: record, under the replacement rule."""
         return self.store.store_record(
-            record, allow_replacement=cfg.allow_record_replacement)
+            record, allow_replacement=self.config.allow_record_replacement)
 
     def _match(self, output, address_bytes: bytes, sources: dict[str, str],
                settings) -> tuple[MatchResult, bytes | None, bytes]:
@@ -419,12 +416,10 @@ class VerifyService:
                     "to propagate a hand-crafted bytecode match")
             donors = clean
         donor = donors[0]
-        record = replace(
+        return self._admit(replace(
             donor, address=address, creation_tx_hash=None,
             warnings=donor.warnings + [f"inherited-from:{donor.address}"],
-            timestamp=time.time())
-        return self.store.store_record(
-            record, allow_replacement=cfg.allow_record_replacement)
+            timestamp=time.time()))
 
     def import_store(self, other: RecordStore) -> list[VerificationRecord]:
         """Adopt every record of another instance's store, marked imported.
@@ -437,12 +432,10 @@ class VerifyService:
                 f"profile {self.config.name} does not accept imported records")
         accepted = []
         for donor in other.records():
-            record = replace(donor, warnings=donor.warnings + [IMPORTED_WARNING],
-                             timestamp=time.time())
             try:
-                accepted.append(self.store.store_record(
-                    record,
-                    allow_replacement=self.config.allow_record_replacement))
+                accepted.append(self._admit(replace(
+                    donor, warnings=donor.warnings + [IMPORTED_WARNING],
+                    timestamp=time.time())))
             except ReplacementDeniedError:
                 continue
         return accepted

@@ -70,22 +70,13 @@ class ImmutableRef:
 
 @dataclass(frozen=True)
 class ExecutionEnv:
-    """Fixed environment constants; recorded with each verification."""
+    """Fixed environment constants the constructor simulation runs under."""
 
     caller: bytes = bytes.fromhex("00000000000000000000000000000000c0ffee01")
     address: bytes = bytes.fromhex("00000000000000000000000000000000def1ed02")
     callvalue: int = 0
     timestamp: int = 1_600_000_000
     number: int = 12_000_000
-
-    def as_dict(self) -> dict:
-        return {
-            "caller": "0x" + self.caller.hex(),
-            "address": "0x" + self.address.hex(),
-            "callvalue": self.callvalue,
-            "timestamp": self.timestamp,
-            "number": self.number,
-        }
 
 
 DEFAULT_ENV = ExecutionEnv()

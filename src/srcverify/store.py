@@ -26,7 +26,6 @@ import posixpath
 import re
 import shutil
 import stat
-import string
 import threading
 import time
 from dataclasses import dataclass, field
@@ -55,8 +54,9 @@ _WRITE_LOCKS = 64
 # bytes asked for per read; a manifest or a typical body takes one
 _READ_SIZE = 1 << 16
 
-# a hash as the manifest spells it
+# a hash as the manifest spells it, and a lowercased address past its 0x
 _HASH = re.compile("0x[0-9a-f]{64}")
+_ADDRESS_HEX = re.compile("[0-9a-f]{40}")
 
 
 def normalize_address(address: str | bytes) -> str:
@@ -71,7 +71,7 @@ def normalize_address(address: str | bytes) -> str:
     text = address.lower()
     if text.startswith("0x"):
         text = text[2:]
-    if len(text) != 40 or any(c not in string.hexdigits for c in text):
+    if not _ADDRESS_HEX.fullmatch(text):
         raise MalformedAddressError(f"not a 20-byte hex address: {address!r}")
     return "0x" + text
 
@@ -408,8 +408,13 @@ class RecordStore:
         missing, is not a file or is not UTF-8 makes the record corrupt.
         """
         key, grade, directory = self._locate(address)
-        fields, bodies = self._decode(_read_bytes(
-            directory + "/" + RECORD_FILENAME), directory, key)
+        return self._build(key, grade, *self._decode(_read_bytes(
+            directory + "/" + RECORD_FILENAME), directory, key))
+
+    @staticmethod
+    def _build(key: str, grade: Grade, fields: dict,
+               bodies: dict[str, tuple[str, str]]) -> VerificationRecord:
+        """The record of a decoded manifest, its bodies read from disk."""
         sources = {}
         for virtual_path, (path, _) in bodies.items():
             try:
@@ -420,12 +425,9 @@ class RecordStore:
                     f"{exc!r}") from exc
         return VerificationRecord(key, grade, sources, **fields)
 
-    def stored_grade(self, address: str | bytes) -> Grade:
-        return self._locate(address)[1]
-
-    def _scan(self) -> Iterator[tuple[os.DirEntry, bytes]]:
-        """Each stored address's directory and manifest bytes, exact/ first;
-        an address whose exact/ manifest was read is not listed again."""
+    def _scan(self) -> Iterator[tuple[os.DirEntry, Grade, bytes]]:
+        """Each stored address's directory, grade and manifest bytes, exact/
+        first; an address read from exact/ is not listed again."""
         seen: set[str] = set()
         for grade in _STORABLE_GRADES:
             try:
@@ -441,10 +443,10 @@ class RecordStore:
                     except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
                         continue
                     seen.add(entry.name)
-                    yield entry, raw
+                    yield entry, grade, raw
 
     def list_addresses(self) -> list[str]:
-        return sorted(entry.name for entry, _ in self._scan())
+        return sorted(entry.name for entry, _, _ in self._scan())
 
     def records(self) -> Iterator[VerificationRecord]:
         return map(self.load, self.list_addresses())
@@ -453,14 +455,17 @@ class RecordStore:
         """Donor candidates for runtime-identical inheritance, by address.
 
         Only a scanned manifest whose bytes hold the hash quoted is decoded,
-        and its decoded codeHash decides.  Still linear in the records.
+        and its decoded codeHash decides; a hit is built from the manifest
+        bytes the scan read.  Still linear in the records.
         """
         needle = f'"0x{code_hash.hex()}"'.encode()
-        hits = sorted(
-            entry.name for entry, raw in self._scan() if needle in raw
-            and self._decode(raw, entry.path, entry.name)[0][
-                "code_hash_at_verification"] == code_hash)
-        return [self.load(address) for address in hits]
+        hits = {}
+        for entry, grade, raw in self._scan():
+            if needle in raw:
+                fields, bodies = self._decode(raw, entry.path, entry.name)
+                if fields["code_hash_at_verification"] == code_hash:
+                    hits[entry.name] = grade, fields, bodies
+        return [self._build(key, *hits[key]) for key in sorted(hits)]
 
     # --- integrity ---
 

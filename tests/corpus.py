@@ -13,8 +13,10 @@ _MARKER = bytes.fromhex("a165627a7a7230")
 _SIMPLE_OPS = bytes.fromhex("000102035055355256805b9090f3")
 
 
-def _legacy_block(rng: random.Random) -> bytes:
-    return _MARKER + b"\x58\x20" + rng.randbytes(32) + b"\x00\x29"
+def make_legacy_metadata_block(swarm_hash: bytes) -> bytes:
+    """The 43-byte 0.4-era trailing metadata block (swarm hash form)."""
+    assert len(swarm_hash) == 32
+    return _MARKER + b"\x58\x20" + swarm_hash + b"\x00\x29"
 
 
 def _safe_body(rng: random.Random, min_ops: int = 4, max_ops: int = 24) -> bytes:
@@ -39,7 +41,7 @@ def _safe_body(rng: random.Random, min_ops: int = 4, max_ops: int = 24) -> bytes
 
 def _broken(rng: random.Random, kind: int) -> bytes:
     body = _safe_body(rng)
-    block = _legacy_block(rng)
+    block = make_legacy_metadata_block(rng.randbytes(32))
     if kind == 0:    # marker corrupted
         bad = bytearray(block)
         bad[3] ^= 0x01
@@ -72,7 +74,8 @@ def build_r1_corpus(seed: int = 1337, size: int = 1000, planted: int = 7):
     for index in range(size):
         address = "0x" + rng.randbytes(20).hex()
         if index in slots:
-            code = _safe_body(rng) + _legacy_block(rng)
+            body = _safe_body(rng)
+            code = body + make_legacy_metadata_block(rng.randbytes(32))
             expected.append(address)
         else:
             code = _broken(rng, rng.randrange(7))

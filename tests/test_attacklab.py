@@ -6,15 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import build_r1_corpus
+from corpus import build_r1_corpus, make_legacy_metadata_block
 from oracles import r1_candidate_oracle
 from srcverify._keccak import keccak256
 from srcverify.attacklab import (
-    CANONICAL_TOGGLE,
     EXPECTED_MATRIX,
     GUARDS,
     SCENARIOS,
-    TOGGLE_RISKS,
     ExploitOutcome,
     assert_matrix,
     filter_r1_candidates,
@@ -31,7 +29,6 @@ from srcverify.errors import (
 )
 from srcverify.linker import PlaceholderMode
 from srcverify.matching import MetadataLabeler
-from srcverify.metadata import make_legacy_metadata_block
 from srcverify.service import (
     HARDENED,
     NAIVE_BLOCKSCOUT_LIKE,
@@ -40,6 +37,11 @@ from srcverify.service import (
     PROFILES,
 )
 from srcverify.simulator import ImmutableStrategy
+
+# each config field's scenario, and each scenario's demonstrating field
+TOGGLE_RISKS = {name: guard.scenario for name, guard in GUARDS.items()}
+CANONICAL_TOGGLE = {guard.scenario: name for name, guard in GUARDS.items()
+                    if guard.canonical}
 
 
 class TestScenarioRegistry:

@@ -4,10 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from srcverify import code_hash, disassemble, keccak256, parse_hex, render_hex
-from srcverify.bytecode import Instruction, first_mismatch, reassemble
+from srcverify.bytecode import Instruction, first_mismatch
 from srcverify.errors import NonHexCharacterError, OddLengthError
 
 from oracles import first_mismatch_oracle, keccak256_oracle
+
+
+def reassemble(instructions: list[Instruction]) -> bytes:
+    """Concatenate opcodes and immediates back into bytes."""
+    return b"".join(bytes([ins.opcode]) + ins.immediate for ins in instructions)
+
 
 # Frozen with the independent oracle (tests/oracles.py); the empty-input
 # digest is also a widely published constant.

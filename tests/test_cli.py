@@ -261,7 +261,7 @@ class TestAttackLabCommands:
         assert "unknown profile" in err
 
     def test_filter_r1(self, tmp_path, capsys):
-        from srcverify.metadata import make_legacy_metadata_block
+        from corpus import make_legacy_metadata_block
         block = make_legacy_metadata_block(keccak256(b"x"))
         (tmp_path / "0xaaa.hex").write_text((b"\x60\x01" + block).hex())
         (tmp_path / "0xbbb.hex").write_text(

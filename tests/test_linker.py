@@ -164,7 +164,6 @@ class TestResolveNaive:
         resolved, bindings = resolve(local, onchain, [span], PlaceholderMode.REGEX_NAIVE)
         assert resolved == onchain
         assert bindings[0].matched_offsets == [span.offset, owner_offset]
-        assert bindings[0].extra_offsets == [owner_offset]
 
     def test_naive_superset_of_hardened(self):
         local, onchain, span, _, _ = make_poc_pair()

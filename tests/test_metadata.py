@@ -28,12 +28,12 @@ from srcverify.metadata import (
     PATTERN_LENGTH,
     SpanSource,
     differential_extract,
-    make_legacy_metadata_block,
     make_metadata_block,
     matches_pattern_at,
     scan_metadata,
     strip_spans,
 )
+from corpus import make_legacy_metadata_block
 from oracles import metadata_scan_oracle
 
 BODY = bytes.fromhex("6080604052600a600055")

@@ -514,6 +514,59 @@ class TestSubmitVerification:
         assert record.grade is Grade.EXACT
         assert "unverified-immutable:rate" in record.warnings
 
+    @pytest.mark.parametrize("ctor_params", [
+        ["uint8"], ["(uint256,address)"], ["uint256[x]"], ["]"],
+        ["uint256" + "[]" * 5000]])
+    @pytest.mark.parametrize("config", PROFILES.values(), ids=list(PROFILES))
+    def test_unsupported_constructor_type_is_a_verifier_error(
+            self, config, ctor_params, tmp_path):
+        w = build(config, tmp_path, ctor_params=ctor_params)
+        with pytest.raises(VerifierError):
+            w.service.submit_verification(w.request)
+        assert not w.store.has(w.address)
+
+
+def without_timestamp(record: VerificationRecord) -> dict:
+    fields = dataclasses.asdict(record)
+    del fields["timestamp"]
+    return fields
+
+
+class TestCheck:
+    """check decides what submit_verification would store, writing nothing."""
+
+    @pytest.mark.parametrize("config", PROFILES.values(), ids=list(PROFILES))
+    def test_check_writes_nothing_and_returns_what_submit_stores(
+            self, config, tmp_path):
+        w = build(config, tmp_path)
+        other = w.chain.mock_deploy(RUNTIME, make_creation_code(RUNTIME))
+        w.service.submit_verification(
+            dataclasses.replace(w.request, address=other))
+        before = w.store.snapshot()
+        checked = w.service.check(w.request)
+        assert w.store.snapshot() == before
+        w.service.submit_verification(w.request)
+        assert without_timestamp(w.store.load(w.address)) == \
+            without_timestamp(checked)
+
+    @pytest.mark.parametrize("refusal", ["no-match", "unsupported-type"])
+    @pytest.mark.parametrize("config", PROFILES.values(), ids=list(PROFILES))
+    def test_refused_check_writes_nothing(self, config, refusal, tmp_path):
+        w = build(config, tmp_path)
+        w.service.submit_verification(w.request)
+        before = w.store.snapshot()
+        request = w.request
+        if refusal == "no-match":
+            other = BODY[::-1] + BLOCK_B
+            address = w.chain.mock_deploy(other, make_creation_code(other))
+            request = dataclasses.replace(w.request, address=address)
+        else:
+            w.compiler.register(w.sources, w.settings, dataclasses.replace(
+                w.output, ctor_params=["uint8"]))
+        with pytest.raises(VerifierError):
+            w.service.check(request)
+        assert w.store.snapshot() == before
+
 
 class CountingCompiler(FixtureCompiler):
     def __init__(self):

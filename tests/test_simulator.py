@@ -21,7 +21,6 @@ from srcverify.errors import (
     UnsupportedOpcodeError,
 )
 from srcverify.simulator import (
-    DEFAULT_ENV,
     ExecutionEnv,
     HaltReason,
     ImmutableRef,
@@ -448,10 +447,3 @@ class TestChainBackfill:
         with pytest.raises(LengthMismatchError):
             backfill_immutables_from_chain(bytes(8), [], bytes(9))
 
-
-class TestEnvRecording:
-    def test_default_env_as_dict(self):
-        d = DEFAULT_ENV.as_dict()
-        assert d["callvalue"] == 0
-        assert d["caller"].startswith("0x")
-        assert len(bytes.fromhex(d["caller"][2:])) == 20

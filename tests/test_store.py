@@ -50,7 +50,9 @@ class TestNormalizeAddress:
         assert normalize_address("11" * 20) == VICTIM
         assert normalize_address("0x" + "AB" * 20) == "0x" + "ab" * 20
 
-    @pytest.mark.parametrize("bad", [b"\x11" * 19, "0x1234", "zz" * 20])
+    @pytest.mark.parametrize("bad", [b"\x11" * 19, "0x1234", "zz" * 20,
+                                     "1" * 39 + "\n", "\u0661" * 40,
+                                     "\uff41" * 40])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             normalize_address(bad)
@@ -136,7 +138,7 @@ class TestStoreAndLoad:
         with pytest.raises(DuplicateAfterNormalizationError):
             store.store_record(record(VICTIM, grade=Grade.EXACT, sources=clash))
         assert store.snapshot() == before
-        assert store.stored_grade(VICTIM) is Grade.PARTIAL
+        assert store.load(VICTIM).grade is Grade.PARTIAL
 
     @pytest.mark.parametrize("entry", ["record/x.sol", "record/sub/x.sol",
                                        "sources"])
@@ -182,7 +184,7 @@ class TestStoreAndLoad:
         with pytest.raises(DuplicateAfterNormalizationError):
             store.store_record(record(VICTIM, grade=Grade.EXACT, sources=sources))
         assert store.snapshot() == before
-        assert store.stored_grade(VICTIM) is Grade.PARTIAL
+        assert store.load(VICTIM).grade is Grade.PARTIAL
         assert not (tmp_path / "exact" / VICTIM).exists()
 
     def test_missing_record(self, tmp_path):
@@ -211,7 +213,7 @@ class TestReplacementLattice:
         store = RecordStore(tmp_path)
         store.store_record(record(VICTIM, grade=Grade.PARTIAL))
         store.store_record(record(VICTIM, grade=Grade.EXACT))
-        assert store.stored_grade(VICTIM) is Grade.EXACT
+        assert store.load(VICTIM).grade is Grade.EXACT
         # the superseded partial directory is gone, not shadowed
         assert not (tmp_path / "partial" / VICTIM).exists()
 
@@ -220,7 +222,7 @@ class TestReplacementLattice:
         store.store_record(record(VICTIM, grade=Grade.EXACT))
         with pytest.raises(ReplacementDeniedError):
             store.store_record(record(VICTIM, grade=Grade.PARTIAL))
-        assert store.stored_grade(VICTIM) is Grade.EXACT
+        assert store.load(VICTIM).grade is Grade.EXACT
 
     @pytest.mark.parametrize("grade", [Grade.PARTIAL, Grade.EXACT])
     def test_equal_grade_first_wins(self, tmp_path, grade):
@@ -522,6 +524,26 @@ class TestCodeHashLookup:
             assert store.list_addresses() == sorted(
                 {address for (address, _), entry in zip(LOOKUP_CELLS, entries)
                  if isinstance(entry, VerificationRecord)})
+
+    def test_each_manifest_is_read_once(self, tmp_path, monkeypatch):
+        store = RecordStore(tmp_path / "store")
+        shared = keccak256(b"runtime")
+        for address in (VICTIM, ATTACKER):
+            store.store_record(record(address,
+                                      code_hash_at_verification=shared))
+        store.store_record(record(WRITER))
+        reads = []
+        real = store_module._read_bytes
+
+        def counting(path):
+            reads.append(os.path.relpath(path, store.root))
+            return real(path)
+
+        monkeypatch.setattr(store_module, "_read_bytes", counting)
+        found = store.find_by_code_hash(shared)
+        assert [r.address for r in found] == [VICTIM, ATTACKER]
+        assert sorted(p for p in reads if p.endswith("/record")) == [
+            f"partial/{a}/record" for a in sorted((VICTIM, ATTACKER, WRITER))]
 
 
 HOST_TEXT = "contract Host {}"
