@@ -147,8 +147,7 @@ def match_runtime(
     ctor_args: bytes = b"",
     trust_simulated_return: bool = False,
     placeholder_mode: PlaceholderMode = PlaceholderMode.OFFSET_LITERAL,
-    labeler: MetadataLabeler = MetadataLabeler.PATTERN_SCAN,
-    differential_spans: list[MetadataSpan] | None = None,
+    metadata_spans: list[MetadataSpan] | None = None,
 ) -> ArtifactReport:
     """Normalize deployment-time variance, then compare against on-chain code.
 
@@ -157,6 +156,8 @@ def match_runtime(
     and compare before/after stripping.  Code that still differs raises
     NoMatchError with the first mismatching offset; sub-stage errors
     (simulation faults, length mismatches, foreign return data) propagate.
+    metadata_spans overrides the pattern scan (the differential labeler
+    path) and is applied to both sides at the same offsets.
     """
     report = ArtifactReport(artifact="runtime")
     local = output.runtime_template
@@ -186,11 +187,8 @@ def match_runtime(
     if report.exact_eligible:
         return report
 
-    if labeler is MetadataLabeler.DIFFERENTIAL:
-        if differential_spans is None:
-            raise ValueError("differential labeler needs precomputed spans")
-        local_spans = differential_spans
-        onchain_spans = differential_spans  # applied symmetrically
+    if metadata_spans is not None:
+        local_spans = onchain_spans = metadata_spans
         if any(s.end > len(onchain) for s in onchain_spans):
             raise NoMatchError(
                 "differential spans fall outside the on-chain code",

@@ -353,8 +353,7 @@ class VerifyService:
                 ctor_args=tx_input[len(output.creation_code):],
                 trust_simulated_return=cfg.trust_simulated_return,
                 placeholder_mode=cfg.placeholder_mode,
-                labeler=cfg.metadata_labeler,
-                differential_spans=spans.get("runtime"))
+                metadata_spans=spans.get("runtime"))
 
         result = grade(creation, runtime, cfg.requirement)
         if isinstance(onchain, VerifierError):

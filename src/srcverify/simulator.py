@@ -16,7 +16,9 @@ with it outside the declared immutable regions.
 
 from __future__ import annotations
 
+import operator
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -94,6 +96,66 @@ def _signed(x: int) -> int:
     return x - (1 << 256) if x & SIGN_BIT else x
 
 
+def _sdiv(a: int, b: int) -> int:
+    """Signed division, truncated toward zero; x / 0 is 0."""
+    sa, sb = _signed(a), _signed(b)
+    return 0 if sb == 0 else abs(sa) // abs(sb) * (1 if (sa < 0) == (sb < 0) else -1)
+
+
+def _smod(a: int, b: int) -> int:
+    """Signed remainder, its sign the dividend's; x % 0 is 0."""
+    sa, sb = _signed(a), _signed(b)
+    return 0 if sb == 0 else abs(sa) % abs(sb) * (1 if sa >= 0 else -1)
+
+
+def _signextend(i: int, x: int) -> int:
+    """x with byte i (0 the lowest) as its sign byte; i >= 32 leaves x."""
+    if i >= 32:
+        return x
+    bit = 8 * i + 7
+    mask = (1 << (bit + 1)) - 1
+    return x | (UINT256 ^ mask) if x & (1 << bit) else x & mask
+
+
+# The stack ops that pop their operands, top of stack first, and push one
+# word: opcode -> (operands, function).  The push masks to 256 bits.
+_PURE_OPS: dict[int, tuple[int, Callable[..., int]]] = {
+    0x01: (2, operator.add),                                  # ADD
+    0x02: (2, operator.mul),                                  # MUL
+    0x03: (2, operator.sub),                                  # SUB
+    0x04: (2, lambda a, b: a // b if b else 0),               # DIV
+    0x05: (2, _sdiv),                                         # SDIV
+    0x06: (2, lambda a, b: a % b if b else 0),                # MOD
+    0x07: (2, _smod),                                         # SMOD
+    0x08: (3, lambda a, b, n: (a + b) % n if n else 0),       # ADDMOD
+    0x09: (3, lambda a, b, n: (a * b) % n if n else 0),       # MULMOD
+    0x0A: (2, lambda a, b: pow(a, b, 1 << 256)),              # EXP
+    0x0B: (2, _signextend),                                   # SIGNEXTEND
+    0x10: (2, operator.lt),                                   # LT
+    0x11: (2, operator.gt),                                   # GT
+    0x12: (2, lambda a, b: _signed(a) < _signed(b)),          # SLT
+    0x13: (2, lambda a, b: _signed(a) > _signed(b)),          # SGT
+    0x14: (2, operator.eq),                                   # EQ
+    0x15: (1, lambda a: a == 0),                              # ISZERO
+    0x16: (2, operator.and_),                                 # AND
+    0x17: (2, operator.or_),                                  # OR
+    0x18: (2, operator.xor),                                  # XOR
+    0x19: (1, lambda a: a ^ UINT256),                         # NOT
+    0x1A: (2, lambda i, x: x >> (8 * (31 - i)) & 0xFF if i < 32 else 0),  # BYTE
+    0x1B: (2, lambda s, v: v << s if s < 256 else 0),         # SHL
+    0x1C: (2, lambda s, v: v >> s if s < 256 else 0),         # SHR
+    0x1D: (2, lambda s, v: _signed(v) >> min(s, 256)),        # SAR
+}
+
+# opcode -> (reason, operands); RETURN and REVERT pop the memory they return
+_HALTS = {
+    0x00: (HaltReason.STOP, 0),
+    0xF3: (HaltReason.RETURN, 2),
+    0xFD: (HaltReason.REVERT, 2),
+    0xFE: (HaltReason.INVALID, 0),  # the designated INVALID
+}
+
+
 # the only opcodes that change the jump-destination walk: JUMPDEST, PUSHn
 _JUMPDEST_OR_PUSH = re.compile(rb"[\x5b\x60-\x7f]")
 
@@ -131,15 +193,23 @@ def execute_creation(
     stack: list[int] = []
     memory = bytearray()
     storage: dict[int, int] = {}
-    writes: dict[int, int] = {}
     pc = 0
     steps = 0
+    # the reads of the environment and of the code: opcode -> the word pushed
+    reads = {
+        0x30: int.from_bytes(env.address, "big"),  # ADDRESS
+        0x33: int.from_bytes(env.caller, "big"),   # CALLER
+        0x34: env.callvalue,                       # CALLVALUE
+        0x36: len(code),                           # CALLDATASIZE
+        0x38: len(code),                           # CODESIZE
+        0x42: env.timestamp,                       # TIMESTAMP
+        0x43: env.number,                          # NUMBER
+    }
 
-    def pop(n: int = 1) -> list[int]:
+    def pop(n: int) -> list[int]:
         if len(stack) < n:
             raise StackUnderflowError(f"need {n} items, have {len(stack)} (pc={pc})")
-        vals = [stack.pop() for _ in range(n)]
-        return vals
+        return [stack.pop() for _ in range(n)]
 
     def push(v: int) -> None:
         if len(stack) >= STACK_LIMIT:
@@ -163,13 +233,18 @@ def execute_creation(
             raise BadJumpDestinationError(f"jump to {dest:#x}")
         return dest
 
-    def read_buffer(buf: bytes, offset: int, size: int) -> bytes:
-        chunk = buf[offset:offset + size]
+    def read_code(offset: int, size: int) -> bytes:
+        chunk = code[offset:offset + size]
         return chunk + bytes(size - len(chunk))
 
-    while True:
-        if pc >= len(code):
-            return ExecutionResult(b"", HaltReason.STOP, steps, writes)
+    def read_memory(offset: int, size: int) -> bytes:
+        touch(offset, size)
+        return bytes(memory[offset:offset + size])
+
+    def halt(reason: HaltReason, offset: int = 0, size: int = 0) -> ExecutionResult:
+        return ExecutionResult(read_memory(offset, size), reason, steps, storage)
+
+    while pc < len(code):
         if steps >= step_limit:
             raise StepLimitExceededError(f"exceeded {step_limit} steps")
         steps += 1
@@ -177,148 +252,39 @@ def execute_creation(
 
         if PUSH1 <= op <= PUSH32:
             width = op - PUSH1 + 1
-            imm = read_buffer(code, pc + 1, width)  # truncated push zero-pads
+            imm = read_code(pc + 1, width)  # truncated push zero-pads
             push(int.from_bytes(imm, "big"))
             pc += 1 + width
             continue
-        if 0x80 <= op <= 0x8F:  # DUP1..DUP16
+
+        pure = _PURE_OPS.get(op)
+        if pure is not None:
+            inputs, function = pure
+            push(function(*pop(inputs)))
+        elif 0x80 <= op <= 0x8F:  # DUP1..DUP16
             depth = op - 0x7F
             if len(stack) < depth:
                 raise StackUnderflowError(f"DUP{depth} on {len(stack)} items")
             push(stack[-depth])
-            pc += 1
-            continue
-        if 0x90 <= op <= 0x9F:  # SWAP1..SWAP16
+        elif 0x90 <= op <= 0x9F:  # SWAP1..SWAP16
             depth = op - 0x8F
             if len(stack) < depth + 1:
                 raise StackUnderflowError(f"SWAP{depth} on {len(stack)} items")
             stack[-1], stack[-1 - depth] = stack[-1 - depth], stack[-1]
-            pc += 1
-            continue
-
-        if op == 0x00:  # STOP
-            return ExecutionResult(b"", HaltReason.STOP, steps, writes)
-        if op == 0x01:  # ADD
-            a, b = pop(2)
-            push(a + b)
-        elif op == 0x02:  # MUL
-            a, b = pop(2)
-            push(a * b)
-        elif op == 0x03:  # SUB
-            a, b = pop(2)
-            push(a - b)
-        elif op == 0x04:  # DIV
-            a, b = pop(2)
-            push(0 if b == 0 else a // b)
-        elif op == 0x05:  # SDIV (truncates toward zero)
-            a, b = pop(2)
-            sa, sb = _signed(a), _signed(b)
-            push(0 if sb == 0 else (abs(sa) // abs(sb)) * (1 if (sa < 0) == (sb < 0) else -1))
-        elif op == 0x06:  # MOD
-            a, b = pop(2)
-            push(0 if b == 0 else a % b)
-        elif op == 0x07:  # SMOD (sign follows dividend)
-            a, b = pop(2)
-            sa, sb = _signed(a), _signed(b)
-            push(0 if sb == 0 else (abs(sa) % abs(sb)) * (1 if sa >= 0 else -1))
-        elif op == 0x08:  # ADDMOD
-            a, b, n = pop(3)
-            push(0 if n == 0 else (a + b) % n)
-        elif op == 0x09:  # MULMOD
-            a, b, n = pop(3)
-            push(0 if n == 0 else (a * b) % n)
-        elif op == 0x0A:  # EXP
-            a, b = pop(2)
-            push(pow(a, b, 1 << 256))
-        elif op == 0x0B:  # SIGNEXTEND
-            i, x = pop(2)
-            if i < 32:
-                bit = 8 * i + 7
-                mask = (1 << (bit + 1)) - 1
-                push((x | (UINT256 ^ mask)) if x & (1 << bit) else x & mask)
-            else:
-                push(x)
-        elif op == 0x10:  # LT
-            a, b = pop(2)
-            push(1 if a < b else 0)
-        elif op == 0x11:  # GT
-            a, b = pop(2)
-            push(1 if a > b else 0)
-        elif op == 0x12:  # SLT
-            a, b = pop(2)
-            push(1 if _signed(a) < _signed(b) else 0)
-        elif op == 0x13:  # SGT
-            a, b = pop(2)
-            push(1 if _signed(a) > _signed(b) else 0)
-        elif op == 0x14:  # EQ
-            a, b = pop(2)
-            push(1 if a == b else 0)
-        elif op == 0x15:  # ISZERO
-            (a,) = pop(1)
-            push(1 if a == 0 else 0)
-        elif op == 0x16:  # AND
-            a, b = pop(2)
-            push(a & b)
-        elif op == 0x17:  # OR
-            a, b = pop(2)
-            push(a | b)
-        elif op == 0x18:  # XOR
-            a, b = pop(2)
-            push(a ^ b)
-        elif op == 0x19:  # NOT
-            (a,) = pop(1)
-            push(a ^ UINT256)
-        elif op == 0x1A:  # BYTE
-            i, x = pop(2)
-            push(0 if i >= 32 else (x >> (8 * (31 - i))) & 0xFF)
-        elif op == 0x1B:  # SHL
-            s, v = pop(2)
-            push(0 if s >= 256 else v << s)
-        elif op == 0x1C:  # SHR
-            s, v = pop(2)
-            push(0 if s >= 256 else v >> s)
-        elif op == 0x1D:  # SAR
-            s, v = pop(2)
-            sv = _signed(v)
-            if s >= 256:
-                push(0 if sv >= 0 else UINT256)
-            else:
-                push(sv >> s)
+        elif op in reads:
+            push(reads[op])
         elif op == 0x20:  # KECCAK256
-            offset, size = pop(2)
-            touch(offset, size)
-            push(int.from_bytes(keccak256(bytes(memory[offset:offset + size])), "big"))
-        elif op == 0x30:  # ADDRESS
-            push(int.from_bytes(env.address, "big"))
-        elif op == 0x33:  # CALLER
-            push(int.from_bytes(env.caller, "big"))
-        elif op == 0x34:  # CALLVALUE
-            push(env.callvalue)
+            push(int.from_bytes(keccak256(read_memory(*pop(2))), "big"))
         elif op == 0x35:  # CALLDATALOAD (calldata view of creation ++ args)
-            (offset,) = pop(1)
-            push(int.from_bytes(read_buffer(code, offset, 32), "big"))
-        elif op == 0x36:  # CALLDATASIZE
-            push(len(code))
-        elif op == 0x37:  # CALLDATACOPY
+            push(int.from_bytes(read_code(*pop(1), 32), "big"))
+        elif op == 0x37 or op == 0x39:  # CALLDATACOPY, CODECOPY: one buffer
             dest, offset, size = pop(3)
             touch(dest, size)
-            memory[dest:dest + size] = read_buffer(code, offset, size)
-        elif op == 0x38:  # CODESIZE
-            push(len(code))
-        elif op == 0x39:  # CODECOPY
-            dest, offset, size = pop(3)
-            touch(dest, size)
-            memory[dest:dest + size] = read_buffer(code, offset, size)
-        elif op == 0x42:  # TIMESTAMP
-            push(env.timestamp)
-        elif op == 0x43:  # NUMBER
-            push(env.number)
+            memory[dest:dest + size] = read_code(offset, size)
         elif op == 0x50:  # POP
             pop(1)
         elif op == 0x51:  # MLOAD
-            (offset,) = pop(1)
-            touch(offset, 32)
-            push(int.from_bytes(memory[offset:offset + 32], "big"))
+            push(int.from_bytes(read_memory(*pop(1), 32), "big"))
         elif op == 0x52:  # MSTORE
             offset, value = pop(2)
             touch(offset, 32)
@@ -328,15 +294,12 @@ def execute_creation(
             touch(offset, 1)
             memory[offset] = value & 0xFF
         elif op == 0x54:  # SLOAD
-            (key,) = pop(1)
-            push(storage.get(key, 0))
+            push(storage.get(*pop(1), 0))
         elif op == 0x55:  # SSTORE
             key, value = pop(2)
             storage[key] = value
-            writes[key] = value
         elif op == 0x56:  # JUMP
-            (dest,) = pop(1)
-            pc = jump_target(dest)
+            pc = jump_target(*pop(1))
             continue
         elif op == 0x57:  # JUMPI
             dest, cond = pop(2)
@@ -345,26 +308,18 @@ def execute_creation(
                 continue
         elif op == 0x5B:  # JUMPDEST
             pass
-        elif op == 0xF3:  # RETURN
-            offset, size = pop(2)
-            touch(offset, size)
-            return ExecutionResult(bytes(memory[offset:offset + size]),
-                                   HaltReason.RETURN, steps, writes)
-        elif op == 0xFD:  # REVERT
-            offset, size = pop(2)
-            touch(offset, size)
-            return ExecutionResult(bytes(memory[offset:offset + size]),
-                                   HaltReason.REVERT, steps, writes)
-        elif op == 0xFE:  # designated INVALID
-            return ExecutionResult(b"", HaltReason.INVALID, steps, writes)
+        elif op in _HALTS:
+            reason, inputs = _HALTS[op]
+            return halt(reason, *pop(inputs))
         elif op in OPCODE_NAMES:
             raise UnsupportedOpcodeError(
                 f"{OPCODE_NAMES[op]} (0x{op:02x}) at pc={pc} is outside the "
                 "supported constructor subset")
         else:
             # bytes undefined in the EVM abort execution; that is simulable
-            return ExecutionResult(b"", HaltReason.INVALID, steps, writes)
+            return halt(HaltReason.INVALID)
         pc += 1
+    return halt(HaltReason.STOP)  # ran off the end of the code
 
 
 def _check_refs(template: bytes, refs: list[ImmutableRef]) -> None:

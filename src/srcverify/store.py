@@ -449,7 +449,12 @@ class RecordStore:
         return sorted(entry.name for entry, _, _ in self._scan())
 
     def records(self) -> Iterator[VerificationRecord]:
-        return map(self.load, self.list_addresses())
+        """Every stored record, by address.  Each is decoded when reached,
+        from the manifest bytes the scan read."""
+        scanned = sorted(self._scan(), key=lambda hit: hit[0].name)
+        return (self._build(entry.name, grade,
+                            *self._decode(raw, entry.path, entry.name))
+                for entry, grade, raw in scanned)
 
     def find_by_code_hash(self, code_hash: bytes) -> list[VerificationRecord]:
         """Donor candidates for runtime-identical inheritance, by address.

@@ -20,7 +20,6 @@ from srcverify.linker import PlaceholderForm, PlaceholderSpan
 from srcverify.matching import (
     ArtifactReport,
     Grade,
-    MetadataLabeler,
     Requirement,
     grade,
     match_creation,
@@ -157,8 +156,7 @@ class TestMatchRuntime:
         with pytest.raises(NoMatchError, match="outside the on-chain code"):
             match_runtime(simple_output(BODY + bytes(8)), BODY + b"\x01",
                           ImmutableStrategy.CHAIN_BACKFILL,
-                          labeler=MetadataLabeler.DIFFERENTIAL,
-                          differential_spans=[span])
+                          metadata_spans=[span])
 
     def test_simulation_guard_rejects_foreign_return(self):
         victim_runtime = bytes.fromhex("11" * 40)
@@ -247,15 +245,8 @@ class TestMatchRuntime:
                              SpanSource.DIFFERENTIAL)
         output = simple_output(local)
         report = match_runtime(output, onchain, ImmutableStrategy.CHAIN_BACKFILL,
-                               labeler=MetadataLabeler.DIFFERENTIAL,
-                               differential_spans=[bogus])
+                               metadata_spans=[bogus])
         assert not report.exact_eligible
-
-    def test_differential_requires_spans(self):
-        with pytest.raises(ValueError):
-            match_runtime(simple_output(BODY), BODY + b"\x00",
-                          ImmutableStrategy.CHAIN_BACKFILL,
-                          labeler=MetadataLabeler.DIFFERENTIAL)
 
     @settings(max_examples=60, deadline=None)
     @given(st.binary(min_size=1, max_size=100))

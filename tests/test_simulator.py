@@ -16,9 +16,11 @@ from srcverify.errors import (
     LengthMismatchError,
     MemoryLimitExceededError,
     SpanOutOfRangeError,
+    StackOverflowError_,
     StackUnderflowError,
     StepLimitExceededError,
     UnsupportedOpcodeError,
+    VerifierError,
 )
 from srcverify.simulator import (
     ExecutionEnv,
@@ -75,6 +77,17 @@ class TestArithmetic:
         (push(0xFF) + push(0) + "0b", U256 - 1),                      # SIGNEXTEND neg
         (push(0x7F) + push(0) + "0b", 0x7F),                          # SIGNEXTEND pos
         (push(0x8000) + push(1) + "0b", U256 - 0x8000),               # SIGNEXTEND word1
+        (push(0xFF) + push(32) + "0b", 0xFF),                         # SIGNEXTEND i=32
+        (push(U256 - 1) + push(U256 - 1) + "0b", U256 - 1),           # SIGNEXTEND huge i
+        (push(0) + push(9) + "06", 0),                                # MOD by zero
+        (push(0) + push(9) + "05", 0),                                # SDIV by zero
+        (push(0) + push(U256 - 9) + "07", 0),                         # SMOD by zero
+        (push(0) + push(2) + push(3) + "08", 0),                      # ADDMOD by zero
+        (push(0) + push(5) + push(6) + "09", 0),                      # MULMOD by zero
+        (push(U256 - 1) + push(1 << 255) + "05", 1 << 255),           # SDIV -2**255/-1
+        (push(2) + push(U256 - 1) + "02", U256 - 2),                  # MUL wraps
+        (push(256) + push(2) + "0a", 0),                              # EXP 2**256 wraps
+        (push(255) + push(3) + "0a", 3 ** 255 % U256),                # EXP 3**255 wraps
     ]
 
     @pytest.mark.parametrize("fragment,expected", CASES)
@@ -102,6 +115,7 @@ class TestComparisonAndBits:
         (push(1) + push(4) + "1b", 16),                 # SHL
         (push(1) + push(300) + "1b", 0),                # SHL >= 256
         (push(16) + push(4) + "1c", 1),                 # SHR
+        (push(U256 - 1) + push(256) + "1c", 0),         # SHR by 256
         (push(U256 - 16) + push(4) + "1d", U256 - 1),   # SAR keeps sign
         (push(U256 - 16) + push(300) + "1d", U256 - 1), # SAR >= 256, negative
         (push(16) + push(300) + "1d", 0),               # SAR >= 256, positive
@@ -145,6 +159,17 @@ class TestStackAndMemory:
     def test_dup_underflow(self):
         with pytest.raises(StackUnderflowError):
             execute_creation(asm(push(1), "81"))  # DUP2 with one item
+
+    def test_stack_overflow(self):
+        with pytest.raises(StackOverflowError_, match="pc=2048"):
+            execute_creation(asm("6000" * 1025))
+        result = execute_creation(asm("6000" * 1024))
+        assert result.halted is HaltReason.STOP
+        assert result.steps == 1024
+
+    def test_underflow_names_the_failing_offset(self):
+        with pytest.raises(StackUnderflowError, match=r"pc=2\)"):
+            execute_creation(asm(push(1), "01"))  # ADD at offset 2
 
 
 class TestControlFlow:
@@ -196,6 +221,52 @@ class TestControlFlow:
             execute_creation(b"\xf1")  # CALL
         with pytest.raises(UnsupportedOpcodeError):
             execute_creation(b"\x5f")  # PUSH0
+
+
+# the named opcodes outside the constructor subset, by byte
+UNSUPPORTED = {
+    0x31: "BALANCE", 0x32: "ORIGIN", 0x3A: "GASPRICE", 0x3B: "EXTCODESIZE",
+    0x3C: "EXTCODECOPY", 0x3D: "RETURNDATASIZE", 0x3E: "RETURNDATACOPY",
+    0x3F: "EXTCODEHASH", 0x40: "BLOCKHASH", 0x41: "COINBASE",
+    0x44: "PREVRANDAO", 0x45: "GASLIMIT", 0x46: "CHAINID",
+    0x47: "SELFBALANCE", 0x48: "BASEFEE", 0x58: "PC", 0x59: "MSIZE",
+    0x5A: "GAS", 0x5F: "PUSH0", 0xA0: "LOG0", 0xA1: "LOG1", 0xA2: "LOG2",
+    0xA3: "LOG3", 0xA4: "LOG4", 0xF0: "CREATE", 0xF1: "CALL",
+    0xF2: "CALLCODE", 0xF4: "DELEGATECALL", 0xF5: "CREATE2",
+    0xFA: "STATICCALL", 0xFF: "SELFDESTRUCT",
+}
+# the designated INVALID and every byte the EVM leaves undefined
+HALTS_INVALID = {
+    0xFE, *range(0x0C, 0x10), 0x1E, 0x1F, *range(0x21, 0x30),
+    *range(0x49, 0x50), 0x5C, 0x5D, 0x5E, *range(0xA5, 0xF0),
+    *range(0xF6, 0xFA), 0xFB, 0xFC,
+}
+
+
+class TestOpcodeClassification:
+    """Every byte after seven zero words: a named opcode outside the subset
+    refuses to run, an undefined byte halts INVALID, the rest do neither."""
+
+    def test_set_sizes(self):
+        assert len(UNSUPPORTED) == 31
+        assert len(HALTS_INVALID) == 113
+        assert not HALTS_INVALID & UNSUPPORTED.keys()
+
+    @pytest.mark.parametrize("op", range(256), ids=lambda op: f"{op:02x}")
+    def test_byte(self, op):
+        code = asm("6000" * 7) + bytes([op])
+        if op in UNSUPPORTED:
+            with pytest.raises(UnsupportedOpcodeError,
+                               match=rf"^{UNSUPPORTED[op]} \(0x{op:02x}\) at pc=14 "):
+                execute_creation(code)
+            return
+        try:
+            halted = execute_creation(code).halted
+        except UnsupportedOpcodeError:
+            pytest.fail(f"0x{op:02x} is refused but not listed as unsupported")
+        except VerifierError:  # a deep DUP or SWAP underflows, a jump to 0
+            halted = None
+        assert (halted is HaltReason.INVALID) is (op in HALTS_INVALID)
 
 
 # code dense in the bytes that steer the walk: JUMPDEST, PUSHn and 0x5b data

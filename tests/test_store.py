@@ -525,13 +525,9 @@ class TestCodeHashLookup:
                 {address for (address, _), entry in zip(LOOKUP_CELLS, entries)
                  if isinstance(entry, VerificationRecord)})
 
-    def test_each_manifest_is_read_once(self, tmp_path, monkeypatch):
-        store = RecordStore(tmp_path / "store")
-        shared = keccak256(b"runtime")
-        for address in (VICTIM, ATTACKER):
-            store.store_record(record(address,
-                                      code_hash_at_verification=shared))
-        store.store_record(record(WRITER))
+    @staticmethod
+    def file_reads(store, monkeypatch) -> list[str]:
+        """From now on, each file the store reads, relative to its root."""
         reads = []
         real = store_module._read_bytes
 
@@ -540,10 +536,35 @@ class TestCodeHashLookup:
             return real(path)
 
         monkeypatch.setattr(store_module, "_read_bytes", counting)
+        return reads
+
+    def test_each_manifest_is_read_once(self, tmp_path, monkeypatch):
+        store = RecordStore(tmp_path / "store")
+        shared = keccak256(b"runtime")
+        for address in (VICTIM, ATTACKER):
+            store.store_record(record(address,
+                                      code_hash_at_verification=shared))
+        store.store_record(record(WRITER))
+        reads = self.file_reads(store, monkeypatch)
         found = store.find_by_code_hash(shared)
         assert [r.address for r in found] == [VICTIM, ATTACKER]
         assert sorted(p for p in reads if p.endswith("/record")) == [
             f"partial/{a}/record" for a in sorted((VICTIM, ATTACKER, WRITER))]
+
+    def test_records_read_each_manifest_once(self, tmp_path, monkeypatch):
+        store = RecordStore(tmp_path / "store")
+        for address in (WRITER, VICTIM):
+            store.store_record(record(address))
+        store.store_record(record(ATTACKER, grade=Grade.EXACT))
+        reads = self.file_reads(store, monkeypatch)
+        loaded = list(store.records())
+        manifests = sorted(p for p in reads if p.endswith("/record"))
+        assert manifests == [f"exact/{ATTACKER}/record",
+                             f"partial/{VICTIM}/record",
+                             f"partial/{WRITER}/record"]
+        addresses = sorted((VICTIM, ATTACKER, WRITER))
+        assert [r.address for r in loaded] == addresses
+        assert loaded == [store.load(a) for a in addresses]
 
 
 HOST_TEXT = "contract Host {}"
@@ -582,6 +603,8 @@ class TestCorruptManifest:
             store.load(VICTIM)
         with pytest.raises(CorruptRecordError):
             store.verify_integrity(VICTIM)
+        with pytest.raises(CorruptRecordError):
+            list(store.records())
 
     def test_address_and_grade_come_from_the_location(self, tmp_path):
         store = self._clobbered(tmp_path, {"address": ATTACKER,
