@@ -8,6 +8,7 @@ rejected, so arbitrary byte strings (including metadata tails) always decode.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ._keccak import keccak256
@@ -58,6 +59,18 @@ def first_mismatch(a: bytes, b: bytes) -> int | None:
         else:
             hi = mid
     return lo
+
+
+def fill(code: bytes, regions: Iterable, source: bytes) -> bytes:
+    """code with source[r.offset:r.end] copied into each region r.
+
+    The regions are a CompilationOutput's immutable or link references,
+    which it has checked lie inside the runtime; source has code's length.
+    """
+    out = bytearray(code)
+    for region in regions:
+        out[region.offset:region.end] = source[region.offset:region.end]
+    return bytes(out)
 
 
 # Mnemonics for display and filters.  Unlisted opcodes render as UNKNOWN_xx;

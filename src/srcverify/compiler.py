@@ -13,18 +13,26 @@ import hashlib
 import json
 import subprocess
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .bytecode import parse_hex
-from .errors import CompilerFailureError, MalformedRequestError
-from .linker import (
-    PLACEHOLDER_CODE_BYTES,
-    PlaceholderForm,
-    PlaceholderSpan,
-    declared_placeholders,
+from .errors import (
+    CompilerFailureError,
+    MalformedLinkReferenceError,
+    MalformedRequestError,
+    SpanOutOfRangeError,
 )
+from .linker import PlaceholderForm, PlaceholderSpan
 from .metadata import _HASH_SLICE, INJECTED_FILENAME, scan_metadata
 from .simulator import ImmutableRef
+
+# (JSON key, CompileSettings field): the one spelling of the settings object
+_SETTINGS_KEYS = (
+    ("compilerVersion", "compiler_version"),
+    ("optimizerRuns", "optimizer_runs"),
+    ("evmVersion", "evm_version"),
+    ("target", "target"),
+)
 
 
 @dataclass(frozen=True)
@@ -44,25 +52,24 @@ class CompileSettings:
         return self.target.rpartition(":")[2]
 
     def as_dict(self) -> dict:
-        return {
-            "compilerVersion": self.compiler_version,
-            "optimizerRuns": self.optimizer_runs,
-            "evmVersion": self.evm_version,
-            "target": self.target,
-        }
+        return {key: getattr(self, name) for key, name in _SETTINGS_KEYS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CompileSettings":
-        return cls(
-            compiler_version=data.get("compilerVersion", "0.8.4+fixture"),
-            optimizer_runs=int(data.get("optimizerRuns", 0)),
-            evm_version=data.get("evmVersion", "default"),
-            target=data.get("target", ""),
-        )
+        """Settings from their JSON object; an absent key takes the field's
+        default.  The values' types are the caller's to check."""
+        return cls(**{name: data[key] for key, name in _SETTINGS_KEYS
+                      if key in data})
 
 
 @dataclass
 class CompilationOutput:
+    """One contract's compiled artifacts.  Building one sorts its immutable
+    and link references by offset and checks that each lies inside the
+    runtime template after the previous one of its kind; a bad immutable
+    reference raises SpanOutOfRangeError, a bad link reference
+    MalformedLinkReferenceError."""
+
     creation_code: bytes
     runtime_template: bytes
     immutable_refs: list[ImmutableRef] = field(default_factory=list)
@@ -70,6 +77,28 @@ class CompilationOutput:
     # ABI type strings of the constructor, or None when the ABI is undeclared
     ctor_params: list[str] | None = None
     uses_inline_assembly: bool = False
+
+    def __post_init__(self) -> None:
+        self.immutable_refs = _checked_regions(
+            self.immutable_refs, len(self.runtime_template),
+            SpanOutOfRangeError, "immutable region")
+        self.link_refs = _checked_regions(
+            self.link_refs, len(self.runtime_template),
+            MalformedLinkReferenceError, "link reference")
+
+
+def _checked_regions(regions: list, size: int, error: type[Exception],
+                     kind: str) -> list:
+    """regions sorted by offset, once each lies in [0, size) after the
+    previous one; otherwise raises error."""
+    regions = sorted(regions, key=lambda region: region.offset)
+    last_end = 0
+    for region in regions:
+        if not last_end <= region.offset <= region.end <= size:
+            raise error(f"{kind} [{region.offset}, {region.end}) does not lie "
+                        f"in [{last_end}, {size}) of the runtime template")
+        last_end = region.end
+    return regions
 
 
 @dataclass
@@ -169,7 +198,6 @@ class FixtureCompiler(CompilerInterface):
 
     def register(self, sources: dict[str, str], settings: CompileSettings,
                  output: CompilationOutput) -> None:
-        declared_placeholders(output)  # validates link_refs before storing
         self._table[request_digest(sources, settings)] = output
 
     def compile(self, sources: dict[str, str], settings: CompileSettings) -> CompilationOutput:
@@ -194,14 +222,10 @@ class FixtureCompiler(CompilerInterface):
         return bytes(out)
 
     def _perturb(self, base: CompilationOutput) -> CompilationOutput:
-        return CompilationOutput(
+        return replace(
+            base,
             creation_code=self._rehash_metadata(base.creation_code),
-            runtime_template=self._rehash_metadata(base.runtime_template),
-            immutable_refs=list(base.immutable_refs),
-            link_refs=list(base.link_refs),
-            ctor_params=None if base.ctor_params is None else list(base.ctor_params),
-            uses_inline_assembly=base.uses_inline_assembly,
-        )
+            runtime_template=self._rehash_metadata(base.runtime_template))
 
 
 class ExternalCompiler(CompilerInterface):
@@ -238,17 +262,18 @@ class ExternalCompiler(CompilerInterface):
                 f"compiler exited {proc.returncode}: {proc.stderr.strip()[:500]}")
         try:
             return _artifact(json.loads(proc.stdout))
-        except (TypeError, ValueError, RecursionError) as exc:
+        except (TypeError, ValueError, RecursionError, SpanOutOfRangeError,
+                MalformedLinkReferenceError) as exc:
             raise CompilerFailureError(f"unusable compiler output: {exc}") from exc
 
 
 def _artifact(payload: object) -> CompilationOutput:
     """ExternalCompiler's output from its artifact.  Every field must have
-    the type the artifact shape names and every immutable and link reference
-    must lie inside the runtime; otherwise raises TypeError or ValueError."""
+    the type the artifact shape names, else TypeError or ValueError; the
+    output's own check raises on references outside the runtime or
+    overlapping."""
     if not isinstance(payload, dict):
         raise TypeError("the artifact is not a JSON object")
-    runtime = parse_hex(_text(payload, "runtime"))
     params = payload.get("constructorParams")
     if params is not None and not (isinstance(params, list) and all(
             isinstance(param, str) for param in params)):
@@ -256,14 +281,14 @@ def _artifact(payload: object) -> CompilationOutput:
                         f"type strings, got {params!r}")
     return CompilationOutput(
         creation_code=parse_hex(_text(payload, "creation")),
-        runtime_template=runtime,
+        runtime_template=parse_hex(_text(payload, "runtime")),
         immutable_refs=[
-            ImmutableRef(_inside(item, item.get("length"), runtime),
-                         item["length"], _text(item, "name", ""))
+            ImmutableRef(_integer(item, "offset"), _integer(item, "length"),
+                         _text(item, "name", ""))
             for item in _objects(payload, "immutableReferences")],
         link_refs=[
             PlaceholderSpan(
-                offset=_inside(item, PLACEHOLDER_CODE_BYTES, runtime),
+                offset=_integer(item, "offset"),
                 file_path=_text(item, "filePath", ""),
                 lib_name=_text(item, "libName"),
                 form=(PlaceholderForm.LEGACY if item.get("form") == "legacy"
@@ -291,16 +316,12 @@ def _objects(payload: dict, key: str) -> list[dict]:
     return items
 
 
-def _inside(item: dict, length: object, code: bytes) -> int:
-    """The reference's offset, if it and length place it inside code."""
-    offset = item.get("offset")
-    if type(offset) is not int or type(length) is not int:
-        raise TypeError(f"reference offset {offset!r} and length {length!r} "
-                        f"must be integers")
-    if not 0 <= offset <= offset + length <= len(code):
-        raise ValueError(f"reference [{offset}, {offset + length}) lies "
-                         f"outside the runtime of {len(code)} bytes")
-    return offset
+def _integer(item: dict, key: str) -> int:
+    """item[key], an integer and not a boolean."""
+    value = item.get(key)
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def make_creation_code(runtime: bytes, extra: bytes = b"") -> bytes:

@@ -16,12 +16,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
 
-from .errors import LengthMismatchError, MalformedLinkReferenceError, SpanOutOfRangeError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .compiler import CompilationOutput
+from .bytecode import fill
+from .errors import LengthMismatchError, MalformedLinkReferenceError
 
 PLACEHOLDER_TEXT_CHARS = 40
 PLACEHOLDER_CODE_BYTES = 20
@@ -79,26 +76,8 @@ def splice_unlinked_text(code: bytes, spans: list[PlaceholderSpan]) -> str:
     """Hex text of `code` with placeholder text written over each span."""
     chars = list(code.hex())
     for span in spans:
-        if span.end > len(code):
-            raise SpanOutOfRangeError(f"placeholder at {span.offset} exceeds code")
         chars[2 * span.offset:2 * span.end] = render_placeholder_text(span)
     return "".join(chars)
-
-
-def declared_placeholders(output: "CompilationOutput") -> list[PlaceholderSpan]:
-    """Validated spans from the compiler's link-reference table."""
-    code_len = len(output.runtime_template)
-    spans = sorted(output.link_refs, key=lambda s: s.offset)
-    last_end = 0
-    for span in spans:
-        if span.offset < 0 or span.end > code_len:
-            raise MalformedLinkReferenceError(
-                f"link reference [{span.offset}, {span.end}) outside code of {code_len}")
-        if span.offset < last_end:
-            raise MalformedLinkReferenceError(
-                f"link reference at {span.offset} overlaps the previous one")
-        last_end = span.end
-    return spans
 
 
 def resolve(
@@ -114,30 +93,28 @@ def resolve(
     text, compiles each placeholder's 40-char text as a regex (unescaped:
     that is the reproduced defect), and rewrites every 40-char match site
     with the address read at the span's own offset.
+
+    The spans are a CompilationOutput's link references: sorted, disjoint
+    and inside `local`, which that output checked when it was built.
     """
     if len(local) != len(onchain):
         raise LengthMismatchError(
             f"local code is {len(local)} bytes, on-chain is {len(onchain)}")
-    for span in spans:
-        if span.offset < 0 or span.end > len(local):
-            raise SpanOutOfRangeError(f"placeholder [{span.offset}, {span.end}) out of range")
 
     if mode is PlaceholderMode.OFFSET_LITERAL:
-        out = bytearray(local)
         bindings = []
-        for span in sorted(spans, key=lambda s: s.offset):
+        for span in spans:
             address = onchain[span.offset:span.end]
-            out[span.offset:span.end] = address
             bindings.append(LibraryBinding(
                 span=span, address=address, matched_offsets=[span.offset],
                 unset=address == bytes(PLACEHOLDER_CODE_BYTES)))
-        return bytes(out), bindings
+        return fill(local, spans, onchain), bindings
 
     # RegexNaive: work in hex-text space
     text = splice_unlinked_text(local, spans)
     onchain_hex = onchain.hex()
     bindings = []
-    for span in sorted(spans, key=lambda s: s.offset):
+    for span in spans:
         addr_hex = onchain_hex[2 * span.offset:2 * span.end]
         address = bytes.fromhex(addr_hex)
         matched = [span.offset]

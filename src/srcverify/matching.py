@@ -28,7 +28,7 @@ from .errors import (
     NotAPrefixError,
     VerifierError,
 )
-from .linker import LibraryBinding, PlaceholderMode, declared_placeholders, resolve
+from .linker import LibraryBinding, PlaceholderMode, resolve
 from .metadata import MetadataSpan, scan_metadata, strip_spans
 from .simulator import (
     ImmutableStrategy,
@@ -157,7 +157,8 @@ def match_runtime(
     NoMatchError with the first mismatching offset; sub-stage errors
     (simulation faults, length mismatches, foreign return data) propagate.
     metadata_spans overrides the pattern scan (the differential labeler
-    path) and is applied to both sides at the same offsets.
+    path) and is applied to both sides at the same offsets.  output's
+    immutable and link regions were checked when it was built.
     """
     report = ArtifactReport(artifact="runtime")
     local = output.runtime_template
@@ -174,9 +175,9 @@ def match_runtime(
             report.immutable_audit.append(
                 f"unverified-immutable:{ref.name or ref.offset}")
 
-    link_spans = declared_placeholders(output)
-    if link_spans:
-        local, bindings = resolve(local, onchain, link_spans, placeholder_mode)
+    if output.link_refs:
+        local, bindings = resolve(local, onchain, output.link_refs,
+                                  placeholder_mode)
         report.placeholder_bindings = bindings
         for binding in bindings:
             if binding.unset:

@@ -43,6 +43,8 @@ LEGACY_MARKER = bytes.fromhex("a165627a7a7230")
 LEGACY_BLOCK_LENGTH = 43
 
 INJECTED_FILENAME = "SOME_TEXT_USED_AS_FILENAME"
+# differential labeling gives up when this many blocks do not explain the diff
+DIFF_ITERATIONS = 16
 
 
 class MetadataKind(Enum):
@@ -187,8 +189,8 @@ def _pick(output, artifact: str) -> bytes:
     raise ValueError(f"unknown artifact {artifact!r}")
 
 
-def differential_extract(compiler, request, baseline_out, artifacts,
-                         max_iterations: int = 16) -> dict[str, list[MetadataSpan]]:
+def differential_extract(compiler, request, baseline_out,
+                         artifacts) -> dict[str, list[MetadataSpan]]:
     """Locate metadata by compiling with an injected source and diffing.
 
     request needs .sources and .settings; settings needs .target for the
@@ -205,13 +207,12 @@ def differential_extract(compiler, request, baseline_out, artifacts,
     perturbed_out = compiler.compile(perturbed_sources, request.settings)
     return {
         artifact: _diff_spans(_pick(baseline_out, artifact),
-                              _pick(perturbed_out, artifact), max_iterations)
+                              _pick(perturbed_out, artifact))
         for artifact in artifacts
     }
 
 
-def _diff_spans(baseline: bytes, perturbed: bytes,
-                max_iterations: int) -> list[MetadataSpan]:
+def _diff_spans(baseline: bytes, perturbed: bytes) -> list[MetadataSpan]:
     if len(baseline) != len(perturbed):
         raise NonConvergentError(
             f"outputs differ in length ({len(baseline)} vs {len(perturbed)}); "
@@ -219,7 +220,7 @@ def _diff_spans(baseline: bytes, perturbed: bytes,
 
     work = bytearray(perturbed)
     starts: list[int] = []
-    for _ in range(max_iterations):
+    for _ in range(DIFF_ITERATIONS):
         index = first_mismatch(baseline, work)
         if index is None:
             return _merge(starts, len(baseline))
@@ -233,4 +234,4 @@ def _diff_spans(baseline: bytes, perturbed: bytes,
         starts.append(start)
     if first_mismatch(baseline, work) is None:
         return _merge(starts, len(baseline))
-    raise NonConvergentError(f"differences remain after {max_iterations} iterations")
+    raise NonConvergentError(f"differences remain after {DIFF_ITERATIONS} iterations")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ._keccak import keccak256
-from .bytecode import OPCODE_NAMES, PUSH1, PUSH32, first_mismatch
+from .bytecode import OPCODE_NAMES, PUSH1, PUSH32, fill, first_mismatch
 from .errors import (
     BadJumpDestinationError,
     CreationDidNotReturnError,
@@ -31,7 +31,6 @@ from .errors import (
     ForeignReturnDataError,
     LengthMismatchError,
     MemoryLimitExceededError,
-    SpanOutOfRangeError,
     StackOverflowError_,
     StackUnderflowError,
     StepLimitExceededError,
@@ -322,17 +321,6 @@ def execute_creation(
     return halt(HaltReason.STOP)  # ran off the end of the code
 
 
-def _check_refs(template: bytes, refs: list[ImmutableRef]) -> None:
-    last_end = 0
-    for ref in sorted(refs, key=lambda r: r.offset):
-        if ref.offset < 0 or ref.length < 0 or ref.end > len(template):
-            raise SpanOutOfRangeError(
-                f"immutable region [{ref.offset}, {ref.end}) outside template")
-        if ref.offset < last_end:
-            raise SpanOutOfRangeError(f"immutable region at {ref.offset} overlaps previous")
-        last_end = ref.end
-
-
 def resolve_immutables_by_simulation(
     template: bytes,
     refs: list[ImmutableRef],
@@ -346,8 +334,9 @@ def resolve_immutables_by_simulation(
     With trust_simulated_return the return data is used verbatim (the R2
     defect).  Otherwise the return must be template-shaped: same length and
     byte-identical outside the declared regions, else ForeignReturnDataError.
+    The regions are a CompilationOutput's immutable references, which it
+    checked lie inside the template and do not overlap.
     """
-    _check_refs(template, refs)
     if not creation:
         # executing creation ++ args with no creation bytes would run pure
         # caller data as the constructor
@@ -362,17 +351,11 @@ def resolve_immutables_by_simulation(
     if len(returned) != len(template):
         raise ForeignReturnDataError(
             f"constructor returned {len(returned)} bytes, template is {len(template)}")
-    # _check_refs ensured the regions are in range and do not overlap, so
-    # the gaps between them, sorted, run from each end to the next offset
-    regions = sorted((ref.offset, ref.end) for ref in refs)
-    starts = [0] + [end for _, end in regions]
-    stops = [offset for offset, _ in regions] + [len(template)]
-    for start, stop in zip(starts, stops):
-        i = first_mismatch(returned[start:stop], template[start:stop])
-        if i is not None:
-            raise ForeignReturnDataError(
-                f"returned code deviates from template at offset {start + i} "
-                f"(outside immutable regions)")
+    i = first_mismatch(fill(template, refs, returned), returned)
+    if i is not None:
+        raise ForeignReturnDataError(
+            f"returned code deviates from template at offset {i} "
+            f"(outside immutable regions)")
     return returned
 
 
@@ -384,13 +367,10 @@ def backfill_immutables_from_chain(
     """Copy on-chain bytes into the immutable regions (no execution).
 
     The copied values are not verified against the constructor; callers must
-    audit each region as unverified.
+    audit each region as unverified.  The regions are a CompilationOutput's
+    immutable references, which it checked lie inside the template.
     """
-    _check_refs(template, refs)
     if len(onchain) != len(template):
         raise LengthMismatchError(
             f"on-chain code is {len(onchain)} bytes, template is {len(template)}")
-    out = bytearray(template)
-    for ref in refs:
-        out[ref.offset:ref.end] = onchain[ref.offset:ref.end]
-    return bytes(out)
+    return fill(template, refs, onchain)

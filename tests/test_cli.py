@@ -314,10 +314,14 @@ class TestExternalCompilerArtifact:
         dict(ARTIFACT, linkReferences=[{"offset": 0, "libName": 5}]),
         dict(ARTIFACT, constructorParams=[5]),
         dict(ARTIFACT, constructorParams="uint256"),
+        dict(ARTIFACT, immutableReferences=[{"offset": 0, "length": 4},
+                                            {"offset": 2, "length": 4}]),
+        dict(ARTIFACT, linkReferences=[{"offset": 10, "libName": "M"},
+                                       {"offset": 0, "libName": "L"}]),
     ], ids=["list", "runtime-int", "length-str", "length-bool",
             "offset-negative", "offset-past-runtime", "name-int",
             "references-object", "link-past-runtime", "lib-name-int",
-            "params-int", "params-str"])
+            "params-int", "params-str", "immutable-overlap", "link-overlap"])
     def test_malformed_artifact_is_refused(self, world, tmp_path, capsys,
                                            artifact):
         code, out, err = run(capsys, "verify", world["request"],

@@ -3,16 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srcverify.errors import (
-    LengthMismatchError,
-    MalformedLinkReferenceError,
-    SpanOutOfRangeError,
-)
+from srcverify.compiler import CompilationOutput
+from srcverify.errors import LengthMismatchError, MalformedLinkReferenceError
 from srcverify.linker import (
     PlaceholderForm,
     PlaceholderMode,
     PlaceholderSpan,
-    declared_placeholders,
     render_placeholder_text,
     resolve,
     splice_unlinked_text,
@@ -81,30 +77,24 @@ class TestScan:
 
 
 class TestDeclared:
-    def test_out_of_range_rejected(self):
-        class Output:
-            runtime_template = bytes(30)
-            link_refs = [PlaceholderSpan(15, "a.sol", "L")]
+    """A compilation output checks its link references when it is built."""
 
+    def test_out_of_range_rejected(self):
         with pytest.raises(MalformedLinkReferenceError):
-            declared_placeholders(Output())
+            CompilationOutput(b"", bytes(30),
+                              link_refs=[PlaceholderSpan(15, "a.sol", "L")])
 
     def test_overlap_rejected(self):
-        class Output:
-            runtime_template = bytes(100)
-            link_refs = [PlaceholderSpan(10, "a.sol", "L"),
-                         PlaceholderSpan(25, "a.sol", "M")]
-
         with pytest.raises(MalformedLinkReferenceError):
-            declared_placeholders(Output())
+            CompilationOutput(b"", bytes(100),
+                              link_refs=[PlaceholderSpan(10, "a.sol", "L"),
+                                         PlaceholderSpan(25, "a.sol", "M")])
 
     def test_valid_spans_sorted_by_offset(self):
-        class Output:
-            runtime_template = bytes(100)
-            link_refs = [PlaceholderSpan(40, "a.sol", "L"), PlaceholderSpan(10, "b.sol", "M")]
-
-        spans = declared_placeholders(Output())
-        assert [s.offset for s in spans] == [10, 40]
+        output = CompilationOutput(
+            b"", bytes(100), link_refs=[PlaceholderSpan(40, "a.sol", "L"),
+                                        PlaceholderSpan(10, "b.sol", "M")])
+        assert [s.offset for s in output.link_refs] == [10, 40]
 
 
 class TestResolveHardened:
@@ -127,11 +117,6 @@ class TestResolveHardened:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             resolve(bytes(10), bytes(11), [], PlaceholderMode.OFFSET_LITERAL)
-
-    def test_span_out_of_range(self):
-        with pytest.raises(SpanOutOfRangeError):
-            resolve(bytes(10), bytes(10), [PlaceholderSpan(0, "a", "b")],
-                    PlaceholderMode.OFFSET_LITERAL)
 
     @settings(max_examples=120)
     @given(st.data())

@@ -35,6 +35,7 @@ from srcverify.errors import (
     NoMatchError,
     NotVerifiedError,
     PathEscapeError,
+    SpanOutOfRangeError,
     StaleRecordError,
     VerifierError,
 )
@@ -524,6 +525,24 @@ class TestSubmitVerification:
         with pytest.raises(VerifierError):
             w.service.submit_verification(w.request)
         assert not w.store.has(w.address)
+
+    @pytest.mark.parametrize("regions", [
+        [(0, 8), (4, 4)], [(len(RUNTIME) - 4, 8)], [(4, -2)]],
+        ids=["overlapping", "past-end", "negative-length"])
+    @pytest.mark.parametrize("config", PROFILES.values(), ids=list(PROFILES))
+    def test_malformed_immutable_regions_are_refused(
+            self, config, regions, tmp_path):
+        """The output is refused when it is built, whichever legs the
+        profile's requirement counts."""
+        w = build(config, tmp_path)
+        refs = [ImmutableRef(offset, length) for offset, length in regions]
+        # builds the output on each compile, as ExternalCompiler does
+        w.service.compiler = SimpleNamespace(
+            compile=lambda sources, settings: dataclasses.replace(
+                w.output, immutable_refs=refs))
+        with pytest.raises(SpanOutOfRangeError):
+            w.service.submit_verification(w.request)
+        assert w.store.snapshot() == {}
 
 
 def without_timestamp(record: VerificationRecord) -> dict:

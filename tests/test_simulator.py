@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import jumpdest_oracle, keccak256_oracle, template_deviation_oracle
+from srcverify.compiler import CompilationOutput
 from srcverify.errors import (
     BadJumpDestinationError,
     CreationDidNotReturnError,
@@ -430,13 +431,13 @@ class TestImmutableResolution:
 
     def test_ref_out_of_range(self):
         with pytest.raises(SpanOutOfRangeError):
-            resolve_immutables_by_simulation(
-                bytes(8), [ImmutableRef(4, 8)], b"\x00")
+            CompilationOutput(b"\x00", bytes(8),
+                              immutable_refs=[ImmutableRef(4, 8)])
 
     def test_overlapping_refs(self):
         with pytest.raises(SpanOutOfRangeError):
-            resolve_immutables_by_simulation(
-                bytes(16), [ImmutableRef(0, 8), ImmutableRef(4, 4)], b"\x00")
+            CompilationOutput(b"\x00", bytes(16), immutable_refs=[
+                ImmutableRef(0, 8), ImmutableRef(4, 4)])
 
 
 @st.composite
