@@ -12,10 +12,11 @@ import hashlib
 import json
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from ._keccak import keccak256
 from .bytecode import parse_hex, render_hex
@@ -44,8 +45,7 @@ class RedeployStatus(Enum):
     NEVER_SEEN = "never-seen"
 
 
-@dataclass(frozen=True)
-class CreationTx:
+class CreationTx(NamedTuple):
     hash: bytes
     input: bytes
     deployer: bytes
@@ -55,7 +55,7 @@ class CreationTx:
 class ChainContract:
     address: bytes
     runtime_code: bytes
-    creations: list[CreationTx] = field(default_factory=list)
+    creation: CreationTx | None = None  # the latest
     destroyed: bool = False
 
 
@@ -77,8 +77,8 @@ class ChainClient(ABC):
         """Current code; empty when absent or destroyed."""
 
     @abstractmethod
-    def get_creation_input(self, address: bytes) -> tuple[bytes, bytes, bytes]:
-        """(tx_hash, input, deployer) of the most recent creation."""
+    def get_creation_input(self, address: bytes) -> CreationTx:
+        """The most recent creation transaction."""
 
     def read_code(self, address: bytes) -> LiveCode:
         """The current code with its hash, both of one read.
@@ -141,13 +141,12 @@ class MockChain(ChainClient):
             live = self._live_code[address] = LiveCode(code)
         return live
 
-    def get_creation_input(self, address: bytes) -> tuple[bytes, bytes, bytes]:
+    def get_creation_input(self, address: bytes) -> CreationTx:
         self._available()
         contract = self._contracts.get(address)
-        if contract is None or not contract.creations:
+        if contract is None or contract.creation is None:
             raise NotFoundError(f"no creation recorded for 0x{address.hex()}")
-        tx = contract.creations[-1]
-        return tx.hash, tx.input, tx.deployer
+        return contract.creation
 
     def _next_tx_hash(self, address: bytes) -> bytes:
         self._sequence += 1
@@ -161,10 +160,10 @@ class MockChain(ChainClient):
             raise AddressOccupiedError(f"0x{address.hex()} has live code")
         tx = CreationTx(self._next_tx_hash(address), creation_input, deployer)
         if existing is None:
-            self._contracts[address] = ChainContract(address, runtime, [tx])
+            self._contracts[address] = ChainContract(address, runtime, tx)
         else:
             existing.runtime_code = runtime
-            existing.creations.append(tx)
+            existing.creation = tx
             existing.destroyed = False
         return address
 
@@ -204,7 +203,7 @@ class MockChain(ChainClient):
     def save_fixture(self, path: str | Path) -> None:
         payload = {}
         for address, contract in sorted(self._contracts.items()):
-            latest = contract.creations[-1] if contract.creations else None
+            latest = contract.creation
             payload[render_hex(address)] = {
                 "runtimeCode": render_hex(contract.runtime_code),
                 "creationTx": None if latest is None else {
@@ -235,22 +234,22 @@ class MockChain(ChainClient):
             address = _fixture_hex(address_hex, where, 20)
             if not isinstance(entry, dict):
                 raise MalformedFixtureError(f"{where} is not an object")
-            creations = []
+            creation = None
             tx = entry.get("creationTx")
             if tx is not None:
                 if not isinstance(tx, dict):
                     raise MalformedFixtureError(f"{where}: creationTx is not an object")
-                creations.append(CreationTx(
+                creation = CreationTx(
                     _fixture_hex(tx.get("hash"), where, 32),
                     _fixture_hex(tx.get("input"), where),
-                    _fixture_hex(tx.get("deployer"), where, 20)))
+                    _fixture_hex(tx.get("deployer"), where, 20))
             destroyed = entry.get("destroyed", False)
             if not isinstance(destroyed, bool):
                 raise MalformedFixtureError(f"{where}: destroyed is not a boolean")
             chain._contracts[address] = ChainContract(
                 address=address,
                 runtime_code=_fixture_hex(entry.get("runtimeCode", "0x"), where),
-                creations=creations,
+                creation=creation,
                 destroyed=destroyed,
             )
         return chain

@@ -25,7 +25,8 @@ from .attacklab import (
 from .bytecode import first_mismatch, parse_hex, render_hex
 from .chain import MockChain
 from .compiler import ExternalCompiler, VerificationRequest
-from .errors import VerifierError
+from .errors import NoMatchError, VerifierError
+from .matching import compare
 from .metadata import scan_metadata, strip_spans
 from .service import VerifyService, get_profile
 from .simulator import HaltReason, execute_creation
@@ -113,16 +114,19 @@ def _cmd_simulate(args) -> int:
 def _cmd_diff(args) -> int:
     a = parse_hex(args.hex_a)
     b = parse_hex(args.hex_b)
-    spans_a = scan_metadata(a)
-    spans_b = scan_metadata(b)
+    try:
+        compare(a, b, None, NoMatchError)
+        equal_after_strip = True
+    except NoMatchError:
+        equal_after_strip = False
     print(json.dumps({
         "equal": a == b,
         "lengthA": len(a),
         "lengthB": len(b),
         "firstMismatch": first_mismatch(a, b),
-        "equalAfterStrip": strip_spans(a, spans_a) == strip_spans(b, spans_b),
-        "spansA": [[s.start, s.end] for s in spans_a],
-        "spansB": [[s.start, s.end] for s in spans_b],
+        "equalAfterStrip": equal_after_strip,
+        "spansA": [[s.start, s.end] for s in scan_metadata(a)],
+        "spansB": [[s.start, s.end] for s in scan_metadata(b)],
     }, indent=2))
     return 0
 

@@ -20,6 +20,8 @@ from .errors import (
     CompilerFailureError,
     MalformedLinkReferenceError,
     MalformedRequestError,
+    NonHexCharacterError,
+    OddLengthError,
     SpanOutOfRangeError,
 )
 from .linker import PlaceholderForm, PlaceholderSpan
@@ -262,7 +264,8 @@ class ExternalCompiler(CompilerInterface):
                 f"compiler exited {proc.returncode}: {proc.stderr.strip()[:500]}")
         try:
             return _artifact(json.loads(proc.stdout))
-        except (TypeError, ValueError, RecursionError, SpanOutOfRangeError,
+        except (TypeError, ValueError, RecursionError, NonHexCharacterError,
+                OddLengthError, SpanOutOfRangeError,
                 MalformedLinkReferenceError) as exc:
             raise CompilerFailureError(f"unusable compiler output: {exc}") from exc
 

@@ -137,7 +137,14 @@ class EmptyLocalBytecodeError(VerifierError):
 
 
 class NotAPrefixError(VerifierError):
-    """Local creation code is not a prefix of the on-chain transaction input."""
+    """Local creation code is not a prefix of the on-chain transaction input.
+
+    first_mismatch is the first differing offset, as on NoMatchError.
+    """
+
+    def __init__(self, message: str, first_mismatch: int | None = None):
+        super().__init__(message)
+        self.first_mismatch = first_mismatch
 
 
 class InvalidConstructorArgumentsError(VerifierError):

@@ -3,8 +3,9 @@
 Creation matching checks that the compiled creation code is a prefix of the
 deployment transaction input and, on the hardened path, that the remainder
 decodes as the declared constructor arguments.  Runtime matching normalizes
-deployment-time variance (immutables, library addresses, metadata) and then
-compares bytes.  Each comparison leg returns the report of a match or raises
+deployment-time variance (immutables, library addresses) first.  Both legs
+then grade their bytes through compare(), the one rule for what metadata
+may differ.  Each comparison leg returns the report of a match or raises
 a VerifierError; grade() turns the two legs into Exact or Partial, or
 raises, according to the platform's requirement.
 
@@ -78,6 +79,39 @@ class MatchResult:
     runtime_report: ArtifactReport | None
 
 
+def compare(local: bytes, onchain: bytes, spans: list[MetadataSpan] | None,
+            error: type[NotAPrefixError | NoMatchError]
+            ) -> tuple[bool, list[MetadataSpan]]:
+    """Grade local against onchain: (exact, stripped spans), or raise.
+
+    Equal bytes are exact.  Otherwise the metadata spans are stripped from
+    both sides at the same offsets, and equality then is partial.  spans
+    overrides the pattern scan (the differential labeler path); without it,
+    the scan must find the same layout on both sides.  Anything else raises
+    error(message, first_mismatch).
+    """
+    if local == onchain:
+        return True, []
+    if spans is not None:
+        if any(s.end > len(onchain) for s in spans):
+            raise error("differential spans fall outside the on-chain code",
+                        first_mismatch(local, onchain))
+    else:
+        spans = scan_metadata(local)
+        if [(s.start, s.end) for s in spans] != \
+                [(s.start, s.end) for s in scan_metadata(onchain)]:
+            raise error(
+                "metadata span layouts differ between local and on-chain code",
+                first_mismatch(local, onchain))
+    stripped_local = strip_spans(local, spans)
+    stripped_onchain = strip_spans(onchain, spans)
+    if stripped_local != stripped_onchain:
+        index = first_mismatch(stripped_local, stripped_onchain)
+        raise error(f"code differs outside metadata (first mismatch at {index} "
+                    f"after stripping)", index)
+    return False, list(spans)
+
+
 def match_creation(
     local: bytes,
     tx_input: bytes,
@@ -92,39 +126,23 @@ def match_creation(
     decode as the constructor arguments; without it, zero local bytes
     prefix-match any transaction and trailing bytes pass unchecked.
 
-    When the raw prefix differs only inside metadata spans, the comparison is
-    retried with those spans stripped from the compiled code and from the
-    same offsets of the transaction prefix, yielding a Partial-eligible
-    report.  local_spans overrides the pattern scan (the differential labeler
-    path).
+    The compiled code is graded by compare against the transaction prefix of
+    its length, raising NotAPrefixError; local_spans overrides the pattern
+    scan (the differential labeler path).
     """
+    if strict and not local:
+        raise EmptyLocalBytecodeError(
+            "compiled creation code is empty; an empty prefix would match "
+            "any transaction")
+    if len(tx_input) < len(local):
+        raise NotAPrefixError(
+            f"the transaction input ({len(tx_input)} bytes) is shorter than "
+            f"the compiled creation code ({len(local)} bytes)",
+            first_mismatch(local, tx_input))
     report = ArtifactReport(artifact="creation")
-    if not local:
-        if strict:
-            raise EmptyLocalBytecodeError(
-                "compiled creation code is empty; an empty prefix would match "
-                "any transaction")
-        remainder = tx_input
-        report.exact_eligible = True
-    elif tx_input.startswith(local):
-        remainder = tx_input[len(local):]
-        report.exact_eligible = True
-    else:
-        spans = scan_metadata(local) if local_spans is None else local_spans
-        if not spans or len(tx_input) < len(local):
-            raise NotAPrefixError(
-                f"compiled creation code is not a prefix of the transaction "
-                f"input (first mismatch at "
-                f"{first_mismatch(local, tx_input[:len(local)])})")
-        stripped_local = strip_spans(local, spans)
-        stripped_tx = strip_spans(tx_input[:len(local)], spans)
-        if stripped_local != stripped_tx:
-            raise NotAPrefixError(
-                f"creation code differs outside metadata spans (first "
-                f"mismatch at {first_mismatch(stripped_local, stripped_tx)} "
-                f"after stripping)")
-        remainder = tx_input[len(local):]
-        report.stripped_spans = list(spans)
+    report.exact_eligible, report.stripped_spans = compare(
+        local, tx_input[:len(local)], local_spans, NotAPrefixError)
+    remainder = tx_input[len(local):]
 
     if strict:
         if remainder and ctor_params is None:
@@ -152,13 +170,12 @@ def match_runtime(
     """Normalize deployment-time variance, then compare against on-chain code.
 
     Pipeline: fill immutable regions (simulation or chain backfill), bind
-    library placeholders from on-chain bytes, locate metadata on both sides,
-    and compare before/after stripping.  Code that still differs raises
-    NoMatchError with the first mismatching offset; sub-stage errors
+    library placeholders from on-chain bytes, then grade by compare, which
+    raises NoMatchError with the first mismatching offset; sub-stage errors
     (simulation faults, length mismatches, foreign return data) propagate.
     metadata_spans overrides the pattern scan (the differential labeler
-    path) and is applied to both sides at the same offsets.  output's
-    immutable and link regions were checked when it was built.
+    path).  output's immutable and link regions were checked when it was
+    built.
     """
     report = ArtifactReport(artifact="runtime")
     local = output.runtime_template
@@ -184,33 +201,8 @@ def match_runtime(
                 report.immutable_audit.append(
                     f"unset-library:{binding.span.lib_name}")
 
-    report.exact_eligible = local == onchain
-    if report.exact_eligible:
-        return report
-
-    if metadata_spans is not None:
-        local_spans = onchain_spans = metadata_spans
-        if any(s.end > len(onchain) for s in onchain_spans):
-            raise NoMatchError(
-                "differential spans fall outside the on-chain code",
-                first_mismatch=first_mismatch(local, onchain))
-    else:
-        local_spans = scan_metadata(local)
-        onchain_spans = scan_metadata(onchain)
-        if [(s.start, s.end) for s in local_spans] != \
-                [(s.start, s.end) for s in onchain_spans]:
-            raise NoMatchError(
-                "metadata span layouts differ between local and on-chain code",
-                first_mismatch=first_mismatch(local, onchain))
-
-    report.stripped_spans = list(local_spans)
-    stripped_local = strip_spans(local, local_spans)
-    stripped_onchain = strip_spans(onchain, onchain_spans)
-    if stripped_local != stripped_onchain:
-        index = first_mismatch(stripped_local, stripped_onchain)
-        raise NoMatchError(
-            f"code differs outside metadata (first mismatch at {index} after "
-            f"stripping)", first_mismatch=index)
+    report.exact_eligible, report.stripped_spans = compare(
+        local, onchain, metadata_spans, NoMatchError)
     return report
 
 

@@ -52,17 +52,11 @@ class MetadataKind(Enum):
     EMBEDDED = "embedded"
 
 
-class SpanSource(Enum):
-    PATTERN_SCAN = "pattern-scan"
-    DIFFERENTIAL = "differential"
-
-
 @dataclass(frozen=True)
 class MetadataSpan:
     start: int
     end: int
     kind: MetadataKind
-    source: SpanSource
 
     @property
     def length(self) -> int:
@@ -111,7 +105,7 @@ def scan_metadata(code: bytes) -> list[MetadataSpan]:
         if matches_pattern_at(code, i):
             end = i + PATTERN_LENGTH
             kind = MetadataKind.TRAILING if end == len(code) else MetadataKind.EMBEDDED
-            spans.append(MetadataSpan(i, end, kind, SpanSource.PATTERN_SCAN))
+            spans.append(MetadataSpan(i, end, kind))
             i = code.find(_IPFS_HEAD, end)
         else:
             i = code.find(_IPFS_HEAD, i + 1)
@@ -144,8 +138,7 @@ def strip_spans(code: bytes, spans: list[MetadataSpan]) -> bytes:
 
 def injected_library_source(contract_name: str) -> str:
     """The useless extra source the differential labeler injects."""
-    lib = f"L_{contract_name}" if contract_name else "L_"
-    return f"library {lib} {{}}\n"
+    return f"library L_{contract_name} {{}}\n"
 
 
 def _block_start(baseline: bytes, index: int) -> int | None:
@@ -171,12 +164,8 @@ def _merge(starts: list[int], code_len: int) -> list[MetadataSpan]:
         else:
             merged.append([start, start + PATTERN_LENGTH])
     return [
-        MetadataSpan(
-            start,
-            end,
-            MetadataKind.TRAILING if end == code_len else MetadataKind.EMBEDDED,
-            SpanSource.DIFFERENTIAL,
-        )
+        MetadataSpan(start, end, MetadataKind.TRAILING if end == code_len
+                     else MetadataKind.EMBEDDED)
         for start, end in merged
     ]
 
@@ -189,22 +178,21 @@ def _pick(output, artifact: str) -> bytes:
     raise ValueError(f"unknown artifact {artifact!r}")
 
 
-def differential_extract(compiler, request, baseline_out,
+def differential_extract(compiler, sources, settings, baseline_out,
                          artifacts) -> dict[str, list[MetadataSpan]]:
     """Locate metadata by compiling with an injected source and diffing.
 
-    request needs .sources and .settings; settings needs .target for the
-    injected library name.  baseline_out is the compilation of the request
-    as submitted; only the perturbed sources are compiled here, once for
-    every artifact.  artifacts names "runtime" and/or "creation"; the result
-    maps each to its identified regions, merged into disjoint, sorted spans.
-    The first artifact that does not converge raises.
+    The injected library is named after settings' target contract.
+    baseline_out is the compilation of sources as submitted; only the
+    perturbed sources are compiled here, once for every artifact.
+    artifacts names "runtime" and/or "creation"; the result maps each to
+    its identified regions, merged into disjoint, sorted spans.  The first
+    artifact that does not converge raises.
     """
-    target = getattr(request.settings, "target", "")
-    contract_name = target.rsplit(":", 1)[-1] if target else ""
-    perturbed_sources = dict(request.sources)
-    perturbed_sources[INJECTED_FILENAME] = injected_library_source(contract_name)
-    perturbed_out = compiler.compile(perturbed_sources, request.settings)
+    perturbed_sources = dict(sources)
+    perturbed_sources[INJECTED_FILENAME] = injected_library_source(
+        settings.target_name)
+    perturbed_out = compiler.compile(perturbed_sources, settings)
     return {
         artifact: _diff_spans(_pick(baseline_out, artifact),
                               _pick(perturbed_out, artifact))

@@ -322,17 +322,16 @@ class VerifyService:
 
         spans = {}
         if cfg.metadata_labeler is MetadataLabeler.DIFFERENTIAL:
-            probe = VerificationRequest(sources=sources, settings=settings)
             spans = differential_extract(
-                self.compiler, probe, output,
+                self.compiler, sources, settings, output,
                 ("creation", "runtime") if checks_runtime else ("creation",))
 
         try:
-            tx_hash, tx_input, _deployer = self.chain.get_creation_input(
-                address_bytes)
+            tx = self.chain.get_creation_input(address_bytes)
         except NotFoundError as exc:
             tx_hash, tx_input, creation = None, b"", exc
         else:
+            tx_hash, tx_input = tx.hash, tx.input
             ctor_params = (parse_params(output.ctor_params)
                            if output.ctor_params is not None else None)
             creation = _attempt(match_creation, output.creation_code, tx_input,

@@ -198,8 +198,7 @@ def test_criterion_4_metadata_scan_strip_and_differential_masking():
         runtime_template=bytes(variant)))
 
     spans = differential_extract(
-        compiler, SimpleNamespace(sources=sources, settings=settings),
-        baseline, ("runtime",))["runtime"]
+        compiler, sources, settings, baseline, ("runtime",))["runtime"]
     pattern = {(s.start, s.end) for s in scan_metadata(innocent)}
     differential = {(s.start, s.end) for s in spans}
     backdoor_offset = 9  # the deployed code carries 0xff here

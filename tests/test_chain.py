@@ -8,6 +8,7 @@ from oracles import create2_oracle, keccak256_oracle
 from srcverify.bytecode import code_hash, parse_hex
 from srcverify.chain import (
     ChainClient,
+    CreationTx,
     LiveCode,
     MockChain,
     RedeployStatus,
@@ -90,6 +91,19 @@ class TestMockChain:
         assert tx_input == creation
         assert deployer == DEPLOYER
         assert len(tx_hash) == 32
+
+    def test_creation_input_is_the_latest_transaction(self):
+        chain = MockChain()
+        addr = chain.mock_create2_deploy(DEPLOYER, SALT, INIT, RUNTIME_A)
+        first = chain.get_creation_input(addr)
+        chain.mock_selfdestruct(addr)
+        chain.mock_create2_deploy(DEPLOYER, SALT, INIT, RUNTIME_B,
+                                  creation_input=INIT + b"\x01")
+        latest = chain.get_creation_input(addr)
+        assert isinstance(latest, CreationTx)
+        assert latest.input == INIT + b"\x01"
+        assert latest.deployer == DEPLOYER
+        assert latest.hash != first.hash
 
     def test_creation_input_unknown_address(self):
         with pytest.raises(NotFoundError):

@@ -202,6 +202,15 @@ class TestByteTools:
         assert payload["spansA"] == payload["spansB"] \
             == [[len(BODY), len(RUNTIME)]]
 
+    def test_diff_moved_block_is_not_equal_after_strip(self, capsys):
+        # each side stripped at its own spans would leave BODY on both
+        block = RUNTIME[len(BODY):]
+        _, out, _ = run(capsys, "diff", RUNTIME.hex(), (block + BODY).hex())
+        payload = json.loads(out)
+        assert payload["spansA"] == [[len(BODY), len(RUNTIME)]]
+        assert payload["spansB"] == [[0, len(block)]]
+        assert not payload["equalAfterStrip"]
+
     def test_diff_length_difference(self, capsys):
         _, out, _ = run(capsys, "diff", "6080", "608060")
         payload = json.loads(out)
@@ -318,10 +327,13 @@ class TestExternalCompilerArtifact:
                                             {"offset": 2, "length": 4}]),
         dict(ARTIFACT, linkReferences=[{"offset": 10, "libName": "M"},
                                        {"offset": 0, "libName": "L"}]),
+        dict(ARTIFACT, runtime="0xzz"),
+        dict(ARTIFACT, creation="0x123"),
     ], ids=["list", "runtime-int", "length-str", "length-bool",
             "offset-negative", "offset-past-runtime", "name-int",
             "references-object", "link-past-runtime", "lib-name-int",
-            "params-int", "params-str", "immutable-overlap", "link-overlap"])
+            "params-int", "params-str", "immutable-overlap", "link-overlap",
+            "runtime-nonhex", "creation-odd"])
     def test_malformed_artifact_is_refused(self, world, tmp_path, capsys,
                                            artifact):
         code, out, err = run(capsys, "verify", world["request"],

@@ -28,7 +28,6 @@ from srcverify.matching import (
 from srcverify.metadata import (
     MetadataKind,
     MetadataSpan,
-    SpanSource,
     make_metadata_block,
 )
 from srcverify.simulator import ImmutableRef, ImmutableStrategy
@@ -103,6 +102,21 @@ class TestMatchCreation:
         with pytest.raises(NotAPrefixError):
             match_creation(local, bytes(tampered), [])
 
+    @pytest.mark.parametrize("local, tx, message, offset", [
+        # the compiled block's offsets hold code in the deployed prefix
+        (make_creation_code(BODY + BLOCK_A),
+         make_creation_code(BODY + b"\x5b" + bytes(52)), "layouts differ",
+         12 + len(BODY)),
+        (make_creation_code(BODY + BLOCK_A),
+         make_creation_code(BODY[:1] + b"\x61" + BODY[2:] + BLOCK_B),
+         "outside metadata", 13),
+        (BODY, BODY[:-1], "shorter", len(BODY) - 1),
+    ], ids=["code-at-metadata", "code-differs", "tx-shorter"])
+    def test_refusal_names_first_mismatch(self, local, tx, message, offset):
+        with pytest.raises(NotAPrefixError, match=message) as excinfo:
+            match_creation(local, tx, [])
+        assert excinfo.value.first_mismatch == offset
+
     @settings(max_examples=120, deadline=None)
     @given(st.binary(min_size=1, max_size=60), st.data())
     def test_random_non_prefix_never_matches(self, local, data):
@@ -151,8 +165,7 @@ class TestMatchRuntime:
         assert excinfo.value.first_mismatch == len(BODY)
 
     def test_differential_spans_past_the_end_are_no_match(self):
-        span = MetadataSpan(len(BODY), len(BODY) + 8, MetadataKind.EMBEDDED,
-                            SpanSource.DIFFERENTIAL)
+        span = MetadataSpan(len(BODY), len(BODY) + 8, MetadataKind.EMBEDDED)
         with pytest.raises(NoMatchError, match="outside the on-chain code"):
             match_runtime(simple_output(BODY + bytes(8)), BODY + b"\x01",
                           ImmutableStrategy.CHAIN_BACKFILL,
@@ -241,8 +254,7 @@ class TestMatchRuntime:
         # bogus span covering real code lets a code difference through
         local = BODY + bytes.fromhex("11" * 8) + BLOCK_A
         onchain = BODY + bytes.fromhex("22" * 8) + BLOCK_A
-        bogus = MetadataSpan(len(BODY), len(BODY) + 8, MetadataKind.EMBEDDED,
-                             SpanSource.DIFFERENTIAL)
+        bogus = MetadataSpan(len(BODY), len(BODY) + 8, MetadataKind.EMBEDDED)
         output = simple_output(local)
         report = match_runtime(output, onchain, ImmutableStrategy.CHAIN_BACKFILL,
                                metadata_spans=[bogus])

@@ -26,7 +26,6 @@ from srcverify.metadata import (
     MetadataKind,
     MetadataSpan,
     PATTERN_LENGTH,
-    SpanSource,
     differential_extract,
     make_metadata_block,
     matches_pattern_at,
@@ -54,8 +53,8 @@ SCAN_PIECES = st.one_of(
 )
 
 
-def span(start, end, kind=MetadataKind.TRAILING, source=SpanSource.PATTERN_SCAN):
-    return MetadataSpan(start, end, kind, source)
+def span(start, end, kind=MetadataKind.TRAILING):
+    return MetadataSpan(start, end, kind)
 
 
 class TestBlockLayout:
@@ -92,7 +91,6 @@ class TestScan:
         spans = scan_metadata(code)
         assert [(s.start, s.end, s.kind) for s in spans] == [
             (len(BODY), len(code), MetadataKind.TRAILING)]
-        assert all(s.source is SpanSource.PATTERN_SCAN for s in spans)
 
     def test_no_marker_byte(self):
         assert scan_metadata(bytes.fromhex("60806040")) == []
@@ -209,18 +207,18 @@ class TestDifferential:
         self.runtime = BODY + BLOCK
         self.output = register_simple(
             self.compiler, self.sources, self.settings, self.runtime)
-        self.request = VerificationRequest(sources=self.sources, settings=self.settings)
 
-    def extract(self, request=None, baseline=None, artifact="runtime"):
+    def extract(self, sources=None, baseline=None, artifact="runtime"):
         return differential_extract(
-            self.compiler, request or self.request, baseline or self.output,
-            (artifact,))[artifact]
+            self.compiler, sources or self.sources, self.settings,
+            baseline or self.output, (artifact,))[artifact]
 
     def test_benign_spans_match_pattern_scan(self):
         spans = self.extract()
         assert [(s.start, s.end) for s in spans] == \
             [(s.start, s.end) for s in scan_metadata(self.runtime)]
-        assert all(s.source is SpanSource.DIFFERENTIAL for s in spans)
+        # the labelers' spans are indistinguishable once found
+        assert spans == scan_metadata(self.runtime)
 
     def test_identical_outputs_give_empty_trace(self):
         # register the perturbed input explicitly with the *same* output
@@ -256,8 +254,7 @@ class TestDifferential:
                 creation_code=make_creation_code(bytes(perturbed_runtime)),
                 runtime_template=bytes(perturbed_runtime)))
 
-        request = VerificationRequest(sources=sources, settings=self.settings)
-        spans = self.extract(request, baseline)
+        spans = self.extract(sources, baseline)
         strict = {(s.start, s.end) for s in scan_metadata(runtime)}
         naive = {(s.start, s.end) for s in spans}
         assert not naive <= strict, "naive labeler must diverge on this fixture"
@@ -315,8 +312,8 @@ class TestDifferential:
         real = self.compiler.compile
         monkeypatch.setattr(self.compiler, "compile",
                             lambda *a: compiled.append(a) or real(*a))
-        both = differential_extract(self.compiler, self.request, self.output,
-                                    ("creation", "runtime"))
+        both = differential_extract(self.compiler, self.sources, self.settings,
+                                    self.output, ("creation", "runtime"))
         assert len(compiled) == 1 and INJECTED_FILENAME in compiled[0][0]
         assert both == {"creation": self.extract(artifact="creation"),
                         "runtime": self.extract()}

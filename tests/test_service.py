@@ -33,6 +33,7 @@ from srcverify.errors import (
     MalformedRequestError,
     NoDonorError,
     NoMatchError,
+    NotAPrefixError,
     NotVerifiedError,
     PathEscapeError,
     SpanOutOfRangeError,
@@ -542,6 +543,33 @@ class TestSubmitVerification:
                 w.output, immutable_refs=refs))
         with pytest.raises(SpanOutOfRangeError):
             w.service.submit_verification(w.request)
+        assert w.store.snapshot() == {}
+
+    @pytest.mark.parametrize("config, refusal", [
+        (HARDENED, NoMatchError),
+        (NAIVE_ETHERSCAN_LIKE, NotAPrefixError),
+        (NAIVE_SOURCIFY_LIKE, NoMatchError),
+        (NAIVE_BLOCKSCOUT_LIKE, None),
+    ], ids=lambda value: getattr(value, "name", ""))
+    def test_code_in_place_of_metadata_is_refused(self, config, refusal,
+                                                  tmp_path):
+        """Both legs strip only a block both sides carry; the differential
+        labeler, naive by design, supplies the compiled code's spans."""
+        deployed = BODY + b"\x5b" + bytes(52)
+        w = build(config, tmp_path, deployed_runtime=deployed,
+                  deployed_creation=make_creation_code(deployed))
+        if refusal is None:
+            assert w.service.submit_verification(w.request).grade \
+                is Grade.PARTIAL
+            return
+        with pytest.raises(refusal) as excinfo:
+            w.service.submit_verification(w.request)
+        # each failed leg names the block's offset in the code it compared
+        error = excinfo.value
+        legs = error.causes if isinstance(error, NoMatchError) else (error,)
+        assert [(type(leg), leg.first_mismatch) for leg in legs] == [
+            (NotAPrefixError, 12 + len(BODY)), (NoMatchError, len(BODY)),
+        ][:len(legs)]
         assert w.store.snapshot() == {}
 
 
