@@ -59,7 +59,6 @@ class Grade(Enum):
 class ArtifactReport:
     """What one comparison leg matched, and how."""
 
-    artifact: str  # "creation" | "runtime"
     exact_eligible: bool = False
     stripped_spans: list[MetadataSpan] = field(default_factory=list)
     placeholder_bindings: list[LibraryBinding] = field(default_factory=list)
@@ -139,7 +138,7 @@ def match_creation(
             f"the transaction input ({len(tx_input)} bytes) is shorter than "
             f"the compiled creation code ({len(local)} bytes)",
             first_mismatch(local, tx_input))
-    report = ArtifactReport(artifact="creation")
+    report = ArtifactReport()
     report.exact_eligible, report.stripped_spans = compare(
         local, tx_input[:len(local)], local_spans, NotAPrefixError)
     remainder = tx_input[len(local):]
@@ -177,7 +176,7 @@ def match_runtime(
     path).  output's immutable and link regions were checked when it was
     built.
     """
-    report = ArtifactReport(artifact="runtime")
+    report = ArtifactReport()
     local = output.runtime_template
 
     if strategy is ImmutableStrategy.SIM_GUARDED:

@@ -233,7 +233,7 @@ class VerifyService:
     """One verifier instance: a config, a compiler, a chain, a store.
 
     check decides what a submission would store and writes nothing, so it
-    may run concurrently; _admit writes, serialized per address by the store.
+    may run concurrently; _admit writes, serialized by the store's one lock.
     """
 
     def __init__(self, config: VerifierConfig, compiler: CompilerInterface,

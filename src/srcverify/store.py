@@ -48,9 +48,6 @@ RECORD_FILENAME = "record"
 # record shadows a stray partial one for the same address.
 _STORABLE_GRADES = (Grade.EXACT, Grade.PARTIAL)
 
-# write locks per store, shared by every address that hashes to one of them
-_WRITE_LOCKS = 64
-
 # bytes asked for per read; a manifest or a typical body takes one
 _READ_SIZE = 1 << 16
 
@@ -146,16 +143,16 @@ class VerificationRecord:
 class RecordStore:
     """Address-keyed record directories with a grade-replacement lattice.
 
-    Writes for one address are serialized; reads never wait.  Writes to
-    distinct addresses proceed concurrently unless their addresses share one
-    of the store's fixed set of locks.
+    Writes take the store's one lock, so writers through one store get one
+    winner per address.  Reads never wait; they see a record whole or not at
+    all.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._root = os.fspath(self.root)
-        self._locks = tuple(threading.Lock() for _ in range(_WRITE_LOCKS))
+        self._lock = threading.Lock()
         # the root and its ancestors, normalized: directories that exist
         self._root_dirs = frozenset(posixpath.normpath(os.fspath(d))
                                     for d in (self.root, *self.root.parents))
@@ -166,9 +163,6 @@ class RecordStore:
             self._name_max = os.pathconf(self.root, "PC_NAME_MAX")
         except (AttributeError, OSError, ValueError):  # no pathconf here
             self._name_max = 255
-
-    def _lock_for(self, address: str) -> threading.Lock:
-        return self._locks[hash(address) % _WRITE_LOCKS]
 
     def _record_dir(self, grade: Grade, address: str) -> str:
         return f"{self._root}/{grade.value}/{address}"
@@ -194,11 +188,11 @@ class RecordStore:
         ``allow_replacement`` off, any second submission is refused.
 
         A replacement writes the new exact record before removing the old
-        partial one; exact shadows partial in lookups, so a failed write
-        leaves the stored record in place.
+        partial one; exact shadows partial once its manifest is renamed into
+        place, so a failed write leaves the stored record in place.
         """
         files, dirs = self._check_layout(record)
-        with self._lock_for(record.address):
+        with self._lock:
             found = self._find(record.address)
             if found is not None:
                 old_grade, old_dir = found
@@ -240,15 +234,16 @@ class RecordStore:
         Every ancestor of a file _write creates, ``..`` steps included, must
         be a directory, so ``c/a.sol`` beside ``c/a.sol/x.sol`` (or
         ``c/a.sol/../x.sol``) is caught here, before anything is written.
-        Returns the normalized files and directories the record needs, the
-        manifest first and then one file per source in the record's order.
+        Returns the normalized files and directories the record needs: the
+        manifest, its draft, which no source may be, then each source in order.
         Paths are joined and split as pathlib would: ``.`` and empty parts
         drop out, and an absolute virtual path replaces the sources folder.
         """
         base = posixpath.normpath(posixpath.join(
             self._root, record.grade.value, record.address))
         sources = base + "/sources"
-        files = [base + "/" + RECORD_FILENAME]
+        draft = base + "/" + RECORD_FILENAME + ".tmp"
+        files = [base + "/" + RECORD_FILENAME, draft]
         dirs = {sources, base, posixpath.dirname(base), *self._root_dirs}
         for virtual_path in record.sources:
             start = sources
@@ -266,6 +261,10 @@ class RecordStore:
                 f"record for {record.address} needs "
                 f"{os.path.relpath(min(clash), self.root)} to be both a file "
                 f"and a directory")
+        if draft in files[2:]:
+            raise DuplicateAfterNormalizationError(
+                f"record for {record.address} needs its manifest's draft, "
+                f"{os.path.relpath(draft, self.root)}, for a source")
         return files, dirs
 
     def _check_disk(self, record: VerificationRecord, files: list[str],
@@ -309,23 +308,24 @@ class RecordStore:
 
     def _write(self, record: VerificationRecord, files: list[str],
                missing: list[str]) -> None:
-        """Create the missing directories, then write each source and last
-        the manifest, at the paths _check_layout normalized."""
+        """Create the missing directories and write each source, then the
+        manifest as a draft renamed into place, all at normalized paths."""
         for directory in missing:
             try:
                 os.mkdir(directory)
             except FileExistsError:
-                # a writer for another address may have made a grade directory
+                # another process, or another store on this root, made it
                 if not os.path.isdir(directory):
                     raise
-        manifest_path, *source_paths = files
+        manifest_path, draft_path, *source_paths = files
         digests: dict[str, str] = {}
         for (virtual_path, text), target in zip(record.sources.items(),
                                                 source_paths):
             body = text.encode("utf-8")
             _write_bytes(target, body)
             digests[virtual_path] = _sha256_hex(body)
-        _write_bytes(manifest_path, self._encode(record, digests))
+        _write_bytes(draft_path, self._encode(record, digests))
+        os.replace(draft_path, manifest_path)
 
     # --- the manifest ---
 

@@ -316,7 +316,7 @@ def make_leg(artifact: str, outcome: str):
         return None
     if outcome in LEG_ERRORS:
         return LEG_ERRORS[outcome](f"{artifact} leg: {outcome}")
-    return matched(artifact, exact=outcome == "exact")
+    return matched(exact=outcome == "exact")
 
 
 def verdict_cases():
@@ -329,8 +329,8 @@ def verdict_cases():
         assert next(cells, None) is None, requirement
 
 
-def matched(artifact: str, exact: bool = True) -> ArtifactReport:
-    return ArtifactReport(artifact, exact_eligible=exact)
+def matched(exact: bool = True) -> ArtifactReport:
+    return ArtifactReport(exact_eligible=exact)
 
 
 BOTH = Requirement.BOTH
@@ -370,31 +370,31 @@ class TestGrade:
         assert all(c in legs.values() for c in raised.causes)
 
     def test_both_exact(self):
-        result = grade(matched("creation"), matched("runtime"), BOTH)
+        result = grade(matched(), matched(), BOTH)
         assert result.grade is Grade.EXACT
 
     def test_both_one_partial(self):
-        result = grade(matched("creation"), matched("runtime", exact=False), BOTH)
+        result = grade(matched(), matched(exact=False), BOTH)
         assert result.grade is Grade.PARTIAL
 
     def test_both_one_failed(self):
         runtime = NoMatchError("runtime differs")
         with pytest.raises(NoMatchError) as excinfo:
-            grade(matched("creation"), runtime, BOTH)
+            grade(matched(), runtime, BOTH)
         assert excinfo.value is runtime
 
     def test_both_missing_runtime(self):
         with pytest.raises(NoMatchError, match="did not run"):
-            grade(matched("creation"), None, BOTH)
+            grade(matched(), None, BOTH)
 
     def test_either_runtime_partial_creation_absent(self):
         for creation in (None, NotFoundError("no creation transaction")):
-            result = grade(creation, matched("runtime", exact=False), EITHER)
+            result = grade(creation, matched(exact=False), EITHER)
             assert result.grade is Grade.PARTIAL
             assert result.creation_report is None
 
     def test_either_one_match_suffices(self):
-        result = grade(matched("creation"), NoMatchError("runtime differs"),
+        result = grade(matched(), NoMatchError("runtime differs"),
                        EITHER)
         assert result.grade is Grade.EXACT
 
@@ -413,10 +413,10 @@ class TestGrade:
         assert excinfo.value.causes == ()
 
     def test_creation_only_ignores_runtime(self):
-        result = grade(matched("creation", exact=False),
+        result = grade(matched(exact=False),
                        NoMatchError("runtime differs"), CREATION_ONLY)
         assert result.grade is Grade.PARTIAL
 
     def test_creation_only_requires_creation(self):
         with pytest.raises(NoMatchError, match="did not run"):
-            grade(None, matched("runtime"), CREATION_ONLY)
+            grade(None, matched(), CREATION_ONLY)

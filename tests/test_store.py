@@ -8,6 +8,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +130,29 @@ class TestStoreAndLoad:
         with pytest.raises(DuplicateAfterNormalizationError):
             store.store_record(record(VICTIM, sources=dict.fromkeys(paths, "x")))
         assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("path", ["../record.tmp", "../record.tmp/x.sol"])
+    def test_source_on_the_manifest_draft_refused_before_writing(
+            self, tmp_path, path):
+        store = RecordStore(tmp_path)
+        with pytest.raises(DuplicateAfterNormalizationError):
+            store.store_record(record(VICTIM, sources={"a.sol": "x", path: "y"}))
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_failed_rename_leaves_no_draft(self, tmp_path, monkeypatch):
+        store = RecordStore(tmp_path)
+        store.store_record(record(VICTIM))
+        before = store.snapshot()
+
+        def replace(src, dst):
+            raise OSError(28, "No space left on device", dst)
+
+        store_sees_os_with(monkeypatch, replace=replace)
+        with pytest.raises(RecordWriteError):
+            store.store_record(record(VICTIM, grade=Grade.EXACT))
+        assert store.snapshot() == before
+        assert not (tmp_path / "exact" / VICTIM).exists()
+        assert store.load(VICTIM).grade is Grade.PARTIAL
 
     def test_refused_upgrade_keeps_the_stored_record(self, tmp_path):
         store = RecordStore(tmp_path)
@@ -259,7 +283,7 @@ class TestReplacementLattice:
             t.join()
         assert sorted(outcomes) == ["denied", "stored"]
 
-    def test_shared_locks_keep_one_winner_per_address(self, tmp_path):
+    def test_concurrent_writers_keep_one_winner_per_address(self, tmp_path):
         store = RecordStore(tmp_path)
         addresses = ["0x" + f"{i:02x}" * 20 for i in range(1, 5)]
         outcomes = {a: [] for a in addresses}
@@ -286,12 +310,47 @@ class TestReplacementLattice:
         assert all(sorted(o) == ["denied", "denied", "stored"]
                    for o in outcomes.values())
 
-    def test_lock_count_does_not_grow_with_addresses(self, tmp_path):
+    def test_one_lock_however_many_addresses(self, tmp_path):
         store = RecordStore(tmp_path)
-        addresses = ["0x" + f"{i:040x}" for i in range(1000)]
-        locks = {store._lock_for(a) for a in addresses}
-        assert len(locks) <= store_module._WRITE_LOCKS < len(addresses)
-        assert all(store._lock_for(a) is store._lock_for(a) for a in addresses)
+        lock = store._lock
+        for i in range(1000):
+            store.store_record(record("0x" + f"{i:040x}"))
+        assert [v for v in vars(store).values()
+                if isinstance(v, type(lock))] == [lock]
+
+    def test_reader_sees_the_whole_manifest_or_none(self, tmp_path,
+                                                    monkeypatch):
+        store = RecordStore(tmp_path)
+        seen = loads_while_writing_a_manifest(monkeypatch, store, VICTIM)
+        store.store_record(record(VICTIM, timestamp=1.0))
+        store.store_record(record(VICTIM, grade=Grade.EXACT, timestamp=2.0))
+        new, upgrade = seen
+        assert isinstance(new, NotVerifiedError)
+        assert upgrade == record(VICTIM, timestamp=1.0)
+        assert store.load(VICTIM).grade is Grade.EXACT
+
+
+def loads_while_writing_a_manifest(monkeypatch, store, address):
+    """What store.load(address) gave, a record or the VerifierError it
+    raised, each time the store began to write a manifest's bytes."""
+    seen = []
+
+    def write(fd, data):
+        if data.startswith(b'{\n  "address"'):
+            try:
+                seen.append(store.load(address))
+            except VerifierError as exc:
+                seen.append(exc)
+        return os.write(fd, data)
+
+    store_sees_os_with(monkeypatch, write=write)
+    return seen
+
+
+def store_sees_os_with(monkeypatch, **calls):
+    """srcverify.store sees the os module with calls in place of its own."""
+    monkeypatch.setattr(store_module, "os",
+                        SimpleNamespace(**{**vars(os), **calls}))
 
 
 # parts of virtual paths: names the store itself uses, ".." to climb out of
