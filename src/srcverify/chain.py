@@ -53,8 +53,10 @@ class CreationTx(NamedTuple):
 
 @dataclass
 class ChainContract:
-    address: bytes
-    runtime_code: bytes
+    """One account: its runtime as placed by the latest deploy or revival,
+    which every read of it serves, hash included."""
+
+    runtime: LiveCode
     creation: CreationTx | None = None  # the latest
     destroyed: bool = False
 
@@ -112,8 +114,6 @@ class MockChain(ChainClient):
 
     def __init__(self) -> None:
         self._contracts: dict[bytes, ChainContract] = {}
-        # address -> the last LiveCode read there, whose hash may be known
-        self._live_code: dict[bytes, LiveCode] = {}
         self._lock = threading.Lock()
         self._sequence = 0
         self.reorg_in_progress = False
@@ -127,19 +127,18 @@ class MockChain(ChainClient):
         contract = self._contracts.get(address)
         if contract is None or contract.destroyed:
             return b""
-        return contract.runtime_code
+        return contract.runtime.code
 
     def read_code(self, address: bytes) -> LiveCode:
-        """One LiveCode per address while get_runtime_code returns the same
-        object: a revival or a reloaded fixture brings a new object.  So a
-        hash computed for one read, by a submit say, serves the next."""
+        """The account's LiveCode, read through get_runtime_code: a hash
+        computed for one read, by a submit say, serves the next, and a
+        revival or a reloaded fixture brings a new one.  Other bytes than
+        the account's, from a subclass, get a LiveCode of their own."""
         code = self.get_runtime_code(address)
-        if not code:
-            return LiveCode(code)
-        live = self._live_code.get(address)
-        if live is None or live.code is not code:
-            live = self._live_code[address] = LiveCode(code)
-        return live
+        contract = self._contracts.get(address)
+        if contract is not None and contract.runtime.code is code:
+            return contract.runtime
+        return LiveCode(code)
 
     def get_creation_input(self, address: bytes) -> CreationTx:
         self._available()
@@ -159,12 +158,7 @@ class MockChain(ChainClient):
         if existing is not None and not existing.destroyed:
             raise AddressOccupiedError(f"0x{address.hex()} has live code")
         tx = CreationTx(self._next_tx_hash(address), creation_input, deployer)
-        if existing is None:
-            self._contracts[address] = ChainContract(address, runtime, tx)
-        else:
-            existing.runtime_code = runtime
-            existing.creation = tx
-            existing.destroyed = False
+        self._contracts[address] = ChainContract(LiveCode(runtime), tx)
         return address
 
     def mock_deploy(self, runtime: bytes, creation_input: bytes,
@@ -205,7 +199,7 @@ class MockChain(ChainClient):
         for address, contract in sorted(self._contracts.items()):
             latest = contract.creation
             payload[render_hex(address)] = {
-                "runtimeCode": render_hex(contract.runtime_code),
+                "runtimeCode": render_hex(contract.runtime.code),
                 "creationTx": None if latest is None else {
                     "hash": render_hex(latest.hash),
                     "input": render_hex(latest.input),
@@ -247,11 +241,8 @@ class MockChain(ChainClient):
             if not isinstance(destroyed, bool):
                 raise MalformedFixtureError(f"{where}: destroyed is not a boolean")
             chain._contracts[address] = ChainContract(
-                address=address,
-                runtime_code=_fixture_hex(entry.get("runtimeCode", "0x"), where),
-                creation=creation,
-                destroyed=destroyed,
-            )
+                LiveCode(_fixture_hex(entry.get("runtimeCode", "0x"), where)),
+                creation, destroyed)
         return chain
 
 

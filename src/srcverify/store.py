@@ -28,6 +28,7 @@ import shutil
 import stat
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -149,15 +150,15 @@ class RecordStore:
     """
 
     def __init__(self, root: str | Path):
-        self.root = Path(root)
+        # normalized once, as every path under it is
+        self.root = Path(posixpath.normpath(os.fspath(root)))
         self.root.mkdir(parents=True, exist_ok=True)
-        self._root = os.fspath(self.root)
         self._lock = threading.Lock()
-        # the root and its ancestors, normalized: directories that exist
-        self._root_dirs = frozenset(posixpath.normpath(os.fspath(d))
+        # the root and its ancestors: directories that exist
+        self._root_dirs = frozenset(os.fspath(d)
                                     for d in (self.root, *self.root.parents))
-        # what a normalized path under the root starts with; "" for a root "."
-        self._inside = posixpath.join(posixpath.normpath(self._root),
+        # what a path under the root starts with; "" for a root "."
+        self._inside = posixpath.join(os.fspath(self.root),
                                       "").removeprefix("./")
         try:
             self._name_max = os.pathconf(self.root, "PC_NAME_MAX")
@@ -165,7 +166,8 @@ class RecordStore:
             self._name_max = 255
 
     def _record_dir(self, grade: Grade, address: str) -> str:
-        return f"{self._root}/{grade.value}/{address}"
+        """The one spelling of a record's directory, normalized."""
+        return f"{self._inside}{grade.value}/{address}"
 
     def _find(self, address: str) -> tuple[Grade, str] | None:
         for grade in _STORABLE_GRADES:
@@ -229,21 +231,22 @@ class RecordStore:
 
     def _check_layout(self, record: VerificationRecord
                       ) -> tuple[list[str], set[str]]:
-        """Refuse a record that needs one path as both a file and a directory.
+        """Refuse a record that needs one normalized path twice, or as both
+        a file and a directory, before anything is written.
 
-        Every ancestor of a file _write creates, ``..`` steps included, must
-        be a directory, so ``c/a.sol`` beside ``c/a.sol/x.sol`` (or
-        ``c/a.sol/../x.sol``) is caught here, before anything is written.
-        Returns the normalized files and directories the record needs: the
-        manifest, its draft, which no source may be, then each source in order.
-        Paths are joined and split as pathlib would: ``.`` and empty parts
-        drop out, and an absolute virtual path replaces the sources folder.
+        The files are the manifest, its draft and each source, so
+        ``a.sol`` beside ``./a.sol``, or a source at ``../record``, is
+        refused.  Every ancestor of a file, ``..`` steps included, must be a
+        directory, so ``c/a.sol`` beside ``c/a.sol/x.sol`` (or
+        ``c/a.sol/../x.sol``) is refused too.  Returns the normalized files,
+        in that order, and the directories the record needs.  Paths are
+        joined and split as pathlib would: ``.`` and empty parts drop out,
+        and an absolute virtual path replaces the sources folder.
         """
-        base = posixpath.normpath(posixpath.join(
-            self._root, record.grade.value, record.address))
+        base = self._record_dir(record.grade, record.address)
         sources = base + "/sources"
-        draft = base + "/" + RECORD_FILENAME + ".tmp"
-        files = [base + "/" + RECORD_FILENAME, draft]
+        files = [base + "/" + RECORD_FILENAME,
+                 base + "/" + RECORD_FILENAME + ".tmp"]
         dirs = {sources, base, posixpath.dirname(base), *self._root_dirs}
         for virtual_path in record.sources:
             start = sources
@@ -255,16 +258,15 @@ class RecordStore:
             for i in range(len(parts)):
                 dirs.add(posixpath.normpath(posixpath.join(start, *parts[:i])))
             files.append(_source_path(sources, virtual_path))
-        clash = dirs.intersection(files)
+        twice = [path for path, n in Counter(files).items() if n > 1]
+        clash = dirs.intersection(files).union(twice)
         if clash:
+            path = min(clash)
             raise DuplicateAfterNormalizationError(
                 f"record for {record.address} needs "
-                f"{os.path.relpath(min(clash), self.root)} to be both a file "
-                f"and a directory")
-        if draft in files[2:]:
-            raise DuplicateAfterNormalizationError(
-                f"record for {record.address} needs its manifest's draft, "
-                f"{os.path.relpath(draft, self.root)}, for a source")
+                f"{os.path.relpath(path, self.root)} to be "
+                + ("both a file and a directory" if path in dirs
+                   else "two files"))
         return files, dirs
 
     def _check_disk(self, record: VerificationRecord, files: list[str],
@@ -406,10 +408,23 @@ class RecordStore:
         tampering (the traversal overwrite) is visible to callers exactly
         the way it is visible to anyone browsing the store.  A body that is
         missing, is not a file or is not UTF-8 makes the record corrupt.
+        A record that an exact upgrade moves while it is read is read again
+        from its new place.
         """
         key, grade, directory = self._locate(address)
-        return self._build(key, grade, *self._decode(_read_bytes(
-            directory + "/" + RECORD_FILENAME), directory, key))
+        try:
+            return self._build(key, grade, *self._decode(_read_bytes(
+                directory + "/" + RECORD_FILENAME), directory, key))
+        except (FileNotFoundError, CorruptRecordError):
+            if not self._moved(key, grade, directory):
+                raise
+        return self.load(key)
+
+    def _moved(self, key: str, grade: Grade, directory: str) -> bool:
+        """Whether key's record has left the directory it was located in:
+        an exact upgrade renames its manifest in, then removes the partial
+        directory, so a read there may find files gone."""
+        return self._find(key) != (grade, directory)
 
     @staticmethod
     def _build(key: str, grade: Grade, fields: dict,
@@ -431,7 +446,7 @@ class RecordStore:
         seen: set[str] = set()
         for grade in _STORABLE_GRADES:
             try:
-                entries = os.scandir(f"{self._root}/{grade.value}")
+                entries = os.scandir(self._inside + grade.value)
             except (FileNotFoundError, NotADirectoryError):
                 continue
             with entries:
@@ -476,18 +491,24 @@ class RecordStore:
 
     def verify_integrity(self, address: str | bytes) -> list[str]:
         """Virtual paths whose on-disk body no longer matches its digest."""
-        key, _, directory = self._locate(address)
-        _, bodies = self._decode(_read_bytes(
-            directory + "/" + RECORD_FILENAME), directory, key)
-        tampered = []
-        for virtual_path, (path, digest) in bodies.items():
-            try:
-                body = _read_bytes(path)
-            except (OSError, ValueError):  # missing, not a file, a NUL byte
-                body = None
-            if body is None or _sha256_hex(body) != digest:
-                tampered.append(virtual_path)
-        return tampered
+        key, grade, directory = self._locate(address)
+        try:
+            _, bodies = self._decode(_read_bytes(
+                directory + "/" + RECORD_FILENAME), directory, key)
+            tampered = []
+            for virtual_path, (path, digest) in bodies.items():
+                try:
+                    body = _read_bytes(path)
+                except (OSError, ValueError):  # missing, not a file, NUL
+                    body = None
+                if body is None or _sha256_hex(body) != digest:
+                    tampered.append(virtual_path)
+            if not tampered or not self._moved(key, grade, directory):
+                return tampered
+        except FileNotFoundError:
+            if not self._moved(key, grade, directory):
+                raise
+        return self.verify_integrity(key)
 
     def snapshot(self) -> dict[str, str]:
         """sha256 of every file under the root, keyed by relative path."""

@@ -17,8 +17,8 @@ through a different route than the code under test.
   the slice-comparing mismatch search and the constructor-return check.
 - jumpdest_oracle: the per-byte walk for valid jump destinations.
 - code_hash_lookup_oracle: the inheritance lookup, parsing every manifest.
-- layout_clash_oracle: the store's file-or-directory clash check, built from
-  pathlib's parents chains.
+- layout_clash_oracle: the store's check for a path needed twice or as both
+  a file and a directory, built from pathlib's parents chains.
 """
 
 from __future__ import annotations
@@ -339,16 +339,18 @@ def code_hash_lookup_oracle(root, code_hash: bytes) -> list[tuple[str, str]]:
 
 def layout_clash_oracle(record_dir, virtual_paths) -> str | None:
     """The smallest normalized path a record written to `record_dir` needs
-    as both a file and a directory, or None.
+    twice, or as both a file and a directory, or None.
 
-    The files are the manifest and each source under ``sources/``; every
-    entry of each file's lexical parents chain, ``..`` steps included, must
-    be a directory.
+    The files are the manifest, its draft ``record.tmp`` and each distinct
+    virtual path's source under ``sources/``; every entry of each file's
+    lexical parents chain, ``..`` steps included, must be a directory.
     """
     base = Path(record_dir)
     sources = base / "sources"
-    files = [base / "record"] + [sources / Path(p) for p in virtual_paths]
+    files = ([base / "record", base / "record.tmp"]
+             + [sources / Path(p) for p in dict.fromkeys(virtual_paths)])
     dirs = [sources] + [d for f in files for d in f.parents]
-    clash = ({os.path.normpath(f) for f in files}
-             & {os.path.normpath(d) for d in dirs})
+    normalized = [os.path.normpath(f) for f in files]
+    clash = ({f for f in normalized if normalized.count(f) > 1}
+             | (set(normalized) & {os.path.normpath(d) for d in dirs}))
     return min(clash) if clash else None

@@ -131,13 +131,26 @@ class TestStoreAndLoad:
             store.store_record(record(VICTIM, sources=dict.fromkeys(paths, "x")))
         assert list(tmp_path.rglob("*")) == []
 
-    @pytest.mark.parametrize("path", ["../record.tmp", "../record.tmp/x.sol"])
+    @pytest.mark.parametrize("path", ["../record.tmp", "../record.tmp/x.sol",
+                                      "../record"])
     def test_source_on_the_manifest_draft_refused_before_writing(
             self, tmp_path, path):
         store = RecordStore(tmp_path)
         with pytest.raises(DuplicateAfterNormalizationError):
             store.store_record(record(VICTIM, sources={"a.sol": "x", path: "y"}))
         assert list(tmp_path.rglob("*")) == []
+
+    def test_one_source_path_spelled_twice_refused_before_writing(self,
+                                                                  tmp_path):
+        store = RecordStore(tmp_path)
+        store.store_record(record(VICTIM))
+        before = store.snapshot()
+        with pytest.raises(DuplicateAfterNormalizationError,
+                           match="a.sol to be two files"):
+            store.store_record(record(WRITER, sources={"a.sol": "contract A {}",
+                                                       "./a.sol": "contract B {}"}))
+        assert store.snapshot() == before
+        assert not (tmp_path / "partial" / WRITER).exists()
 
     def test_failed_rename_leaves_no_draft(self, tmp_path, monkeypatch):
         store = RecordStore(tmp_path)
@@ -153,6 +166,27 @@ class TestStoreAndLoad:
         assert store.snapshot() == before
         assert not (tmp_path / "exact" / VICTIM).exists()
         assert store.load(VICTIM).grade is Grade.PARTIAL
+
+    def test_root_spelled_through_a_link_and_dot_dot_is_one_place(
+            self, tmp_path, monkeypatch):
+        # the OS resolves link/.. to deep/, the store's one spelling to
+        # tmp_path; reads, writes and a failed write's clean-up agree
+        (tmp_path / "deep" / "er").mkdir(parents=True)
+        (tmp_path / "link").symlink_to(tmp_path / "deep" / "er")
+        store = RecordStore(tmp_path / "link" / ".." / "store")
+        assert store.root == tmp_path / "store"
+        store.store_record(record(VICTIM, timestamp=1.0))
+        assert store.load(VICTIM) == record(VICTIM, timestamp=1.0)
+        before = store.snapshot()
+
+        def replace(src, dst):
+            raise OSError(28, "No space left on device", dst)
+
+        store_sees_os_with(monkeypatch, replace=replace)
+        with pytest.raises(RecordWriteError):
+            store.store_record(record(VICTIM, grade=Grade.EXACT))
+        assert store.snapshot() == before
+        assert not (tmp_path / "store" / "exact" / VICTIM).exists()
 
     def test_refused_upgrade_keeps_the_stored_record(self, tmp_path):
         store = RecordStore(tmp_path)
@@ -328,6 +362,41 @@ class TestReplacementLattice:
         assert isinstance(new, NotVerifiedError)
         assert upgrade == record(VICTIM, timestamp=1.0)
         assert store.load(VICTIM).grade is Grade.EXACT
+
+    @pytest.mark.parametrize("read", ["record", "sources/a.sol"])
+    def test_load_follows_an_upgrade_made_while_reading(self, tmp_path,
+                                                        monkeypatch, read):
+        store = RecordStore(tmp_path)
+        store.store_record(record(VICTIM, timestamp=1.0))
+        exact = record(VICTIM, grade=Grade.EXACT, timestamp=2.0)
+        upgrade_on_reading(monkeypatch, store, f"partial/{VICTIM}/{read}",
+                           exact)
+        assert store.load(VICTIM) == exact
+        assert not (tmp_path / "partial" / VICTIM).exists()
+
+    @pytest.mark.parametrize("read", ["record", "sources/a.sol"])
+    def test_integrity_follows_an_upgrade_made_while_reading(
+            self, tmp_path, monkeypatch, read):
+        store = RecordStore(tmp_path)
+        store.store_record(record(VICTIM, timestamp=1.0))
+        upgrade_on_reading(monkeypatch, store, f"partial/{VICTIM}/{read}",
+                           record(VICTIM, grade=Grade.EXACT, timestamp=2.0))
+        assert store.verify_integrity(VICTIM) == []
+        assert not (tmp_path / "partial" / VICTIM).exists()
+
+
+def upgrade_on_reading(monkeypatch, store, path, upgrade):
+    """Store upgrade from inside the store's first read of path, relative
+    to the store root, before that read opens the file."""
+    real = store_module._read_bytes
+    pending = [upgrade]
+
+    def read_bytes(where):
+        if pending and os.path.relpath(where, store.root) == path:
+            store.store_record(pending.pop())
+        return real(where)
+
+    monkeypatch.setattr(store_module, "_read_bytes", read_bytes)
 
 
 def loads_while_writing_a_manifest(monkeypatch, store, address):
