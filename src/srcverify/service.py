@@ -250,7 +250,13 @@ class VerifyService:
 
     def check(self, request: VerificationRequest) -> VerificationRecord:
         """The record submit_verification would store for request, or the
-        VerifierError that refuses it; reads, compiles and matches only."""
+        VerifierError that refuses it; reads, compiles and matches only.
+
+        The record passes the store's layout rule, which reads no disk.  A
+        refusal that depends on the disk cannot be foreseen here: the
+        replacement lattice, entries already on disk, and names the
+        filesystem refuses.
+        """
         cfg = self.config
         if request.address is None:
             raise MalformedRequestError("request names no contract address")
@@ -294,7 +300,7 @@ class VerifyService:
         if request.declared_libraries:
             settings_dict["libraries"] = dict(request.declared_libraries)
 
-        return VerificationRecord(
+        record = VerificationRecord(
             address=address,
             grade=result.grade,
             sources=sources,
@@ -304,6 +310,8 @@ class VerifyService:
             creation_tx_hash=tx_hash,
             warnings=list(dict.fromkeys(warnings)),
         )
+        self.store._check_layout(record)
+        return record
 
     def _admit(self, record: VerificationRecord) -> VerificationRecord:
         """The service's one write: record, under the replacement rule."""

@@ -19,6 +19,7 @@ sha256 digest per source file so tampering is detectable after the fact.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -192,6 +193,11 @@ class RecordStore:
         A replacement writes the new exact record before removing the old
         partial one; exact shadows partial once its manifest is renamed into
         place, so a failed write leaves the stored record in place.
+
+        An ``OSError`` or ``ValueError`` from the disk check or the write
+        first removes each directory the write made, deepest first: the
+        record directory whole, any other only if empty, so an entry
+        another writer put there stays.  Then it becomes the refusal below.
         """
         files, dirs = self._check_layout(record)
         with self._lock:
@@ -206,17 +212,18 @@ class RecordStore:
                     raise ReplacementDeniedError(
                         f"{record.grade.value} may not replace {old_grade.value} "
                         f"for {record.address}")
-            missing = self._check_disk(record, files, dirs)
+            made: list[str] = []
             try:
-                self._write(record, files, missing)
+                self._write(record, files, self._check_disk(files, dirs), made)
             except (OSError, ValueError) as exc:
                 base = self._record_dir(record.grade, record.address)
-                if os.path.isdir(base):
-                    shutil.rmtree(base)
+                for directory in reversed(made):
+                    try:
+                        (shutil.rmtree if directory == base else os.rmdir)(directory)
+                    except OSError:
+                        pass
                 if isinstance(exc, (FileExistsError, NotADirectoryError,
                                     IsADirectoryError)):
-                    # an entry of the other kind appeared on disk after
-                    # _check_disk looked
                     raise DuplicateAfterNormalizationError(
                         f"record for {record.address} needs "
                         f"{os.path.relpath(exc.filename, self.root)}, which is "
@@ -269,13 +276,13 @@ class RecordStore:
                    else "two files"))
         return files, dirs
 
-    def _check_disk(self, record: VerificationRecord, files: list[str],
-                    dirs: set[str]) -> list[str]:
-        """Refuse a record the disk cannot take, before a byte is written.
-
-        A needed directory must not exist as anything else, a file must not
-        exist as a directory, and every path must be one the filesystem
-        accepts.  Without this a source path such as
+    def _check_disk(self, files: list[str], dirs: set[str]) -> list[str]:
+        """Raise what the write would raise, before a byte is written:
+        ``FileExistsError`` or ``IsADirectoryError`` for an entry of the
+        other kind, ``NotADirectoryError`` for a path under a file,
+        ``ENAMETOOLONG`` for a name the filesystem cannot take, and what
+        ``os.stat`` raises for a path it refuses (a NUL byte is a
+        ``ValueError``).  Without this a source path such as
         ``../../0x<other>/record/x.sol`` fails only after an earlier path
         has overwritten another record's file.  Returns the needed
         directories that do not exist yet, parents first.
@@ -283,38 +290,28 @@ class RecordStore:
         missing = []
         for path in sorted((dirs - self._root_dirs).union(files)):
             try:
-                mode = os.stat(path).st_mode
+                is_dir = stat.S_ISDIR(os.stat(path).st_mode)
             except FileNotFoundError:
-                name = os.fsencode(posixpath.basename(path))
-                if len(name) > self._name_max:
-                    raise RecordWriteError(
-                        f"record for {record.address} could not be written: "
-                        f"{os.path.relpath(path, self.root)!r} has a name "
-                        f"longer than {self._name_max} bytes") from None
+                if len(os.fsencode(posixpath.basename(path))) > self._name_max:
+                    raise OSError(errno.ENAMETOOLONG,
+                                  os.strerror(errno.ENAMETOOLONG), path) from None
                 if path in dirs:
                     missing.append(path)
                 continue
-            except NotADirectoryError:
-                mode = None  # an ancestor on disk is a file
-            except (OSError, ValueError) as exc:
-                # a NUL byte, a path too long, ...
-                raise RecordWriteError(
-                    f"record for {record.address} could not be written: "
-                    f"{exc}") from exc
-            if mode is None or stat.S_ISDIR(mode) is not (path in dirs):
-                raise DuplicateAfterNormalizationError(
-                    f"record for {record.address} needs "
-                    f"{os.path.relpath(path, self.root)}, which is already on "
-                    f"disk as another kind of entry")
+            if is_dir is not (path in dirs):
+                code = errno.EISDIR if is_dir else errno.EEXIST
+                raise OSError(code, os.strerror(code), path)
         return missing
 
     def _write(self, record: VerificationRecord, files: list[str],
-               missing: list[str]) -> None:
-        """Create the missing directories and write each source, then the
-        manifest as a draft renamed into place, all at normalized paths."""
+               missing: list[str], made: list[str]) -> None:
+        """Create the missing directories, appending each one made to made,
+        and write each source, then the manifest as a draft renamed into
+        place, all at normalized paths."""
         for directory in missing:
             try:
                 os.mkdir(directory)
+                made.append(directory)
             except FileExistsError:
                 # another process, or another store on this root, made it
                 if not os.path.isdir(directory):

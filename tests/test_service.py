@@ -596,7 +596,8 @@ class TestCheck:
         assert without_timestamp(w.store.load(w.address)) == \
             without_timestamp(checked)
 
-    @pytest.mark.parametrize("refusal", ["no-match", "unsupported-type"])
+    @pytest.mark.parametrize("refusal", ["no-match", "unsupported-type",
+                                         "layout"])
     @pytest.mark.parametrize("config", PROFILES.values(), ids=list(PROFILES))
     def test_refused_check_writes_nothing(self, config, refusal, tmp_path):
         w = build(config, tmp_path)
@@ -607,6 +608,11 @@ class TestCheck:
             other = BODY[::-1] + BLOCK_B
             address = w.chain.mock_deploy(other, make_creation_code(other))
             request = dataclasses.replace(w.request, address=address)
+        elif refusal == "layout":
+            # one path spelled twice, which the store cannot hold
+            sources = {**w.sources, "./" + w.settings.target_path: "x"}
+            w.compiler.register(sources, w.settings, w.output)
+            request = dataclasses.replace(w.request, sources=sources)
         else:
             w.compiler.register(w.sources, w.settings, dataclasses.replace(
                 w.output, ctor_params=["uint8"]))

@@ -167,6 +167,41 @@ class TestStoreAndLoad:
         assert not (tmp_path / "exact" / VICTIM).exists()
         assert store.load(VICTIM).grade is Grade.PARTIAL
 
+    @pytest.mark.parametrize("other_writer", [False, True])
+    def test_failed_first_write_removes_the_directories_it_made(
+            self, tmp_path, monkeypatch, other_writer):
+        store = RecordStore(tmp_path)
+
+        def replace(src, dst):
+            if other_writer:  # another store on this root, mid-write
+                os.mkdir(tmp_path / "partial" / WRITER)
+            raise OSError(28, "No space left on device", dst)
+
+        store_sees_os_with(monkeypatch, replace=replace)
+        with pytest.raises(RecordWriteError):
+            store.store_record(record(VICTIM, sources={"a.sol": "x",
+                                                       "lib/m.sol": "y"}))
+        assert entries(tmp_path) == (["partial", f"partial/{WRITER}"]
+                                     if other_writer else [])
+
+    def test_directory_taken_by_a_file_during_the_write_refused(
+            self, tmp_path, monkeypatch):
+        # the disk check saw nothing there; another writer's file appears
+        # before the write makes the directory
+        store = RecordStore(tmp_path)
+        taken = f"partial/{VICTIM}/sources"
+
+        def mkdir(path, *args, **kwargs):
+            if os.path.relpath(path, tmp_path) == taken:
+                (tmp_path / taken).write_text("another writer")
+            os.mkdir(path, *args, **kwargs)
+
+        store_sees_os_with(monkeypatch, mkdir=mkdir)
+        with pytest.raises(DuplicateAfterNormalizationError,
+                           match=f"needs {taken}, which is already on disk"):
+            store.store_record(record(VICTIM))
+        assert entries(tmp_path) == []
+
     def test_root_spelled_through_a_link_and_dot_dot_is_one_place(
             self, tmp_path, monkeypatch):
         # the OS resolves link/.. to deep/, the store's one spelling to
@@ -204,11 +239,12 @@ class TestStoreAndLoad:
                                                                entry):
         store = RecordStore(tmp_path)
         store.store_record(record(ATTACKER))
-        before = store.snapshot()
+        before, listed = store.snapshot(), entries(tmp_path)
         sources = {"a.sol": "x", f"../../{ATTACKER}/{entry}": "y"}
         with pytest.raises(DuplicateAfterNormalizationError):
             store.store_record(record(VICTIM, sources=sources))
         assert store.snapshot() == before
+        assert entries(tmp_path) == listed
         assert not (tmp_path / "partial" / VICTIM).exists()
 
     @pytest.mark.parametrize("second, error", [
@@ -226,22 +262,24 @@ class TestStoreAndLoad:
         store = RecordStore(tmp_path)
         store.store_record(record(VICTIM))
         store.store_record(record(ATTACKER))
-        before = store.snapshot()
+        before, listed = store.snapshot(), entries(tmp_path)
         sources = {f"../../{VICTIM}/sources/a.sol": "evil", second: "y"}
         with pytest.raises(error):
             store.store_record(record(WRITER, sources=sources))
         assert store.snapshot() == before
+        assert entries(tmp_path) == listed
         assert store.load(VICTIM).sources["a.sol"] == "contract A {}"
 
     def test_failed_upgrade_keeps_the_stored_record(self, tmp_path):
         store = RecordStore(tmp_path)
         store.store_record(record(ATTACKER, grade=Grade.EXACT))
         store.store_record(record(VICTIM))
-        before = store.snapshot()
+        before, listed = store.snapshot(), entries(tmp_path)
         sources = {"a.sol": "x", f"../../{ATTACKER}/record/x.sol": "y"}
         with pytest.raises(DuplicateAfterNormalizationError):
             store.store_record(record(VICTIM, grade=Grade.EXACT, sources=sources))
         assert store.snapshot() == before
+        assert entries(tmp_path) == listed
         assert store.load(VICTIM).grade is Grade.PARTIAL
         assert not (tmp_path / "exact" / VICTIM).exists()
 
@@ -414,6 +452,12 @@ def loads_while_writing_a_manifest(monkeypatch, store, address):
 
     store_sees_os_with(monkeypatch, write=write)
     return seen
+
+
+def entries(root):
+    """Every path under root, directories included, relative to it; the
+    store's snapshot() lists files only."""
+    return sorted(str(path.relative_to(root)) for path in root.rglob("*"))
 
 
 def store_sees_os_with(monkeypatch, **calls):
