@@ -409,19 +409,22 @@ class VerifyService:
         live_hash = self.chain.get_code_hash(bytes.fromhex(address[2:]))
         if not live_hash:
             raise NoDonorError(f"no runtime code at {address}")
-        donors = [d for d in self.store.find_by_code_hash(live_hash)
-                  if d.address != address]
-        if not donors:
-            raise NoDonorError(f"no verified record shares the runtime of {address}")
-        if not cfg.inherit_flagged_donors:
-            clean = [d for d in donors
-                     if INLINE_ASSEMBLY_WARNING not in d.warnings]
-            if not clean:
+
+        def usable(donor: VerificationRecord) -> bool:
+            return donor.address != address and (
+                cfg.inherit_flagged_donors
+                or INLINE_ASSEMBLY_WARNING not in donor.warnings)
+
+        # the lookup ends at the first usable hit, so only the last can donate
+        hits = self.store.find_by_code_hash(live_hash, usable)
+        if not hits or not usable(hits[-1]):
+            if all(d.address == address for d in hits):
                 raise NoDonorError(
-                    "every donor carries the inline-assembly flag; refusing "
-                    "to propagate a hand-crafted bytecode match")
-            donors = clean
-        donor = donors[0]
+                    f"no verified record shares the runtime of {address}")
+            raise NoDonorError(
+                "every donor carries the inline-assembly flag; refusing "
+                "to propagate a hand-crafted bytecode match")
+        donor = hits[-1]
         return self._admit(replace(
             donor, address=address, creation_tx_hash=None,
             warnings=donor.warnings + [f"inherited-from:{donor.address}"],

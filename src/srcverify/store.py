@@ -32,7 +32,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import (
     CorruptRecordError,
@@ -100,6 +100,24 @@ def _write_bytes(path: str, data: bytes) -> None:
             written += os.write(fd, data[written:])
     finally:
         os.close(fd)
+
+
+def _unreadable(path: str, exc: OSError) -> CorruptRecordError:
+    """The refusal for a store entry that is there but does not read: a
+    symlink loop, a denied permission, an I/O error."""
+    return CorruptRecordError(f"{path} does not read: {exc!r}")
+
+
+def _read_manifest(directory: str) -> bytes | None:
+    """The manifest's bytes, or None where there is none: no file, a path
+    under a file, or a directory."""
+    path = directory + "/" + RECORD_FILENAME
+    try:
+        return _read_bytes(path)
+    except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
+        return None
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
 
 
 def _source_path(sources_dir: str, virtual_path: str) -> str:
@@ -173,11 +191,14 @@ class RecordStore:
     def _find(self, address: str) -> tuple[Grade, str] | None:
         for grade in _STORABLE_GRADES:
             directory = self._record_dir(grade, address)
+            path = directory + "/" + RECORD_FILENAME
             try:
-                if stat.S_ISREG(os.stat(directory + "/" + RECORD_FILENAME).st_mode):
+                if stat.S_ISREG(os.stat(path).st_mode):
                     return grade, directory
             except (FileNotFoundError, NotADirectoryError):
                 pass
+            except OSError as exc:
+                raise _unreadable(path, exc) from exc
         return None
 
     # --- writing ---
@@ -410,9 +431,11 @@ class RecordStore:
         """
         key, grade, directory = self._locate(address)
         try:
-            return self._build(key, grade, *self._decode(_read_bytes(
-                directory + "/" + RECORD_FILENAME), directory, key))
-        except (FileNotFoundError, CorruptRecordError):
+            raw = _read_manifest(directory)
+            if raw is not None:
+                return self._build(key, grade,
+                                   *self._decode(raw, directory, key))
+        except CorruptRecordError:
             if not self._moved(key, grade, directory):
                 raise
         return self.load(key)
@@ -437,61 +460,70 @@ class RecordStore:
                     f"{exc!r}") from exc
         return VerificationRecord(key, grade, sources, **fields)
 
-    def _scan(self) -> Iterator[tuple[os.DirEntry, Grade, bytes]]:
-        """Each stored address's directory, grade and manifest bytes, exact/
-        first; an address read from exact/ is not listed again."""
-        seen: set[str] = set()
+    def _scan(self) -> Iterator[tuple[str, Grade, str, bytes]]:
+        """Each stored address, by address, with its grade, directory and
+        manifest bytes.  exact/ and partial/ are listed once; an address's
+        exact/ manifest is read, or its partial/ one when that one is not
+        there, each only when the consumer reaches the address."""
+        listed = {}
         for grade in _STORABLE_GRADES:
+            path = self._inside + grade.value
             try:
-                entries = os.scandir(self._inside + grade.value)
+                listed[grade] = set(os.listdir(path))
             except (FileNotFoundError, NotADirectoryError):
-                continue
-            with entries:
-                for entry in entries:
-                    if entry.name in seen:
-                        continue
-                    try:
-                        raw = _read_bytes(entry.path + "/" + RECORD_FILENAME)
-                    except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
-                        continue
-                    seen.add(entry.name)
-                    yield entry, grade, raw
+                listed[grade] = set()
+            except OSError as exc:
+                raise _unreadable(path, exc) from exc
+        for address in sorted(set().union(*listed.values())):
+            for grade in _STORABLE_GRADES:
+                if address not in listed[grade]:
+                    continue
+                directory = self._record_dir(grade, address)
+                raw = _read_manifest(directory)
+                if raw is not None:
+                    yield address, grade, directory, raw
+                    break
 
     def list_addresses(self) -> list[str]:
-        return sorted(entry.name for entry, _, _ in self._scan())
+        return [address for address, _, _, _ in self._scan()]
 
     def records(self) -> Iterator[VerificationRecord]:
         """Every stored record, by address.  Each is decoded when reached,
         from the manifest bytes the scan read."""
-        scanned = sorted(self._scan(), key=lambda hit: hit[0].name)
-        return (self._build(entry.name, grade,
-                            *self._decode(raw, entry.path, entry.name))
-                for entry, grade, raw in scanned)
+        return (self._build(address, grade,
+                            *self._decode(raw, directory, address))
+                for address, grade, directory, raw in list(self._scan()))
 
-    def find_by_code_hash(self, code_hash: bytes) -> list[VerificationRecord]:
-        """Donor candidates for runtime-identical inheritance, by address.
+    def find_by_code_hash(self, code_hash: bytes,
+                          usable: Callable[[VerificationRecord], bool]
+                          ) -> list[VerificationRecord]:
+        """Donor candidates for runtime-identical inheritance, by address,
+        up to and including the first one usable accepts; no manifest
+        sorting after it is read.
 
         Only a scanned manifest whose bytes hold the hash quoted is decoded,
         and its decoded codeHash decides; a hit is built from the manifest
-        bytes the scan read.  Still linear in the records.
+        bytes the scan read.  Still linear in the records it passes.
         """
         needle = f'"0x{code_hash.hex()}"'.encode()
-        hits = {}
-        for entry, grade, raw in self._scan():
+        hits = []
+        for address, grade, directory, raw in self._scan():
             if needle in raw:
-                fields, bodies = self._decode(raw, entry.path, entry.name)
+                fields, bodies = self._decode(raw, directory, address)
                 if fields["code_hash_at_verification"] == code_hash:
-                    hits[entry.name] = grade, fields, bodies
-        return [self._build(key, *hits[key]) for key in sorted(hits)]
+                    hits.append(self._build(address, grade, fields, bodies))
+                    if usable(hits[-1]):
+                        break
+        return hits
 
     # --- integrity ---
 
     def verify_integrity(self, address: str | bytes) -> list[str]:
         """Virtual paths whose on-disk body no longer matches its digest."""
         key, grade, directory = self._locate(address)
-        try:
-            _, bodies = self._decode(_read_bytes(
-                directory + "/" + RECORD_FILENAME), directory, key)
+        raw = _read_manifest(directory)
+        if raw is not None:
+            _, bodies = self._decode(raw, directory, key)
             tampered = []
             for virtual_path, (path, digest) in bodies.items():
                 try:
@@ -502,9 +534,6 @@ class RecordStore:
                     tampered.append(virtual_path)
             if not tampered or not self._moved(key, grade, directory):
                 return tampered
-        except FileNotFoundError:
-            if not self._moved(key, grade, directory):
-                raise
         return self.verify_integrity(key)
 
     def snapshot(self) -> dict[str, str]:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -45,6 +46,7 @@ from srcverify.matching import Grade, Requirement
 from srcverify.metadata import make_metadata_block
 from srcverify.service import (
     HARDENED,
+    INLINE_ASSEMBLY_WARNING,
     NAIVE_BLOCKSCOUT_LIKE,
     NAIVE_ETHERSCAN_LIKE,
     NAIVE_SOURCIFY_LIKE,
@@ -840,7 +842,8 @@ class TestManifestDamage:
             clone = w.chain.mock_deploy(RUNTIME, w.output.creation_code)
             for read in (lambda: w.store.load(w.address),
                          lambda: w.store.verify_integrity(w.address),
-                         lambda: w.store.find_by_code_hash(keccak256(RUNTIME)),
+                         lambda: w.store.find_by_code_hash(keccak256(RUNTIME),
+                                                           lambda d: False),
                          lambda: w.service.query(w.address),
                          lambda: w.service.inherit_identical_runtime(clone)):
                 try:
@@ -948,6 +951,56 @@ class TestInheritance:
         assert "inline-assembly" in record.warnings
         assert any(x.startswith("inherited-from:") for x in record.warnings)
 
+    @staticmethod
+    def _stored(w, address: str, **kwargs) -> None:
+        """Store an exact record of RUNTIME at address, past the matcher."""
+        w.store.store_record(VerificationRecord(
+            address, Grade.EXACT, dict(SOURCES), TARGET, {},
+            keccak256(RUNTIME), **kwargs))
+
+    @staticmethod
+    def _twin(w, byte: int) -> bytes:
+        return w.chain.mock_deploy(RUNTIME, w.output.creation_code,
+                                   address=bytes([byte]) * 20)
+
+    @pytest.mark.parametrize("damage", ["corrupt-manifest", "missing-body"])
+    @pytest.mark.parametrize("damaged_first", [False, True])
+    def test_damaged_hit_stops_inheritance_only_before_the_donor(
+            self, tmp_path, damage, damaged_first):
+        """The lookup stops at the donor, so a damaged hit sorting after it
+        is never read; one sorting before it still refuses."""
+        w = build(HARDENED, tmp_path)
+        low, high = "0x" + "11" * 20, "0x" + "99" * 20
+        self._stored(w, low)
+        self._stored(w, high)
+        damaged = low if damaged_first else high
+        directory = w.store.root / "exact" / damaged
+        if damage == "corrupt-manifest":
+            (directory / "record").write_text(
+                f'{{"codeHash": "0x{keccak256(RUNTIME).hex()}",')
+        else:
+            (directory / "sources" / "contracts" / "a.sol").unlink()
+        twin = self._twin(w, 0x55)
+        if damaged_first:
+            with pytest.raises(CorruptRecordError):
+                w.service.inherit_identical_runtime(twin)
+        else:
+            record = w.service.inherit_identical_runtime(twin)
+            assert record.warnings == [f"inherited-from:{low}"]
+
+    def test_smallest_usable_address_wins(self, tmp_path):
+        """A flagged record is passed over on hardened, and an inherited
+        record donates like any other."""
+        w = build(HARDENED, tmp_path)
+        flagged, high = "0x" + "01" * 20, "0x" + "99" * 20
+        self._stored(w, flagged, warnings=[INLINE_ASSEMBLY_WARNING])
+        self._stored(w, high)
+        first = w.service.inherit_identical_runtime(self._twin(w, 0x22))
+        assert first.warnings == [f"inherited-from:{high}"]
+        second = w.service.inherit_identical_runtime(self._twin(w, 0x44))
+        assert second.warnings == [f"inherited-from:{high}",
+                                   f"inherited-from:{first.address}"]
+
     def test_no_donor_for_different_runtime(self, tmp_path):
         w = build(HARDENED, tmp_path)
         w.service.submit_verification(w.request)
@@ -960,6 +1013,32 @@ class TestInheritance:
         w.service.submit_verification(w.request)
         with pytest.raises(NoDonorError):
             w.service.inherit_identical_runtime(b"\x77" * 20)
+
+
+class TestUnreadableManifest:
+    def test_symlink_loop_is_a_corrupt_record(self, tmp_path):
+        """A manifest that is there but does not read refuses every read
+        that reaches it with a VerifierError naming its path."""
+        w = build(HARDENED, tmp_path)
+        w.service.submit_verification(w.request)
+        looped = "0x" + "ab" * 20
+        manifest = w.store.root / "exact" / looped / "record"
+        manifest.parent.mkdir()
+        manifest.symlink_to(manifest)
+        unrelated = w.chain.mock_deploy(BODY + BLOCK_B, b"\x00")
+        for read in (lambda: w.service.query(looped),
+                     lambda: w.store.load(looped),
+                     lambda: w.store.has(looped),
+                     lambda: w.store.verify_integrity(looped),
+                     w.store.list_addresses,
+                     lambda: list(w.store.records()),
+                     lambda: w.store.find_by_code_hash(keccak256(RUNTIME),
+                                                       lambda d: False),
+                     lambda: w.service.inherit_identical_runtime(unrelated)):
+            with pytest.raises(CorruptRecordError,
+                               match=re.escape(f"exact/{looped}/record")):
+                read()
+        assert w.service.query(w.address).grade is Grade.EXACT
 
 
 class TestImport:

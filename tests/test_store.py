@@ -34,6 +34,11 @@ ATTACKER = "0x" + "22" * 20
 WRITER = "0x" + "33" * 20
 
 
+def no_donor(record) -> bool:
+    """A donor rule that accepts no record, so a lookup returns every hit."""
+    return False
+
+
 def record(address, grade=Grade.PARTIAL, sources=None, **kwargs):
     kwargs.setdefault("fully_qualified_target", "a.sol:A")
     kwargs.setdefault("settings", {"compilerVersion": "0.8.4+fixture"})
@@ -300,7 +305,7 @@ class TestStoreAndLoad:
         shared = keccak256(b"runtime")
         store.store_record(record(VICTIM, code_hash_at_verification=shared))
         store.store_record(record(ATTACKER))
-        donors = store.find_by_code_hash(shared)
+        donors = store.find_by_code_hash(shared, no_donor)
         assert [d.address for d in donors] == [VICTIM]
 
 
@@ -682,17 +687,30 @@ def place(root: Path, address: str, grade: Grade, entry) -> None:
 
 class TestCodeHashLookup:
     @settings(max_examples=60)
-    @given(store_layouts)
-    def test_agrees_with_parsing_every_manifest(self, entries):
+    @given(store_layouts, st.sets(st.sampled_from(LOOKUP_CELLS)))
+    def test_agrees_with_parsing_every_manifest(self, entries, accepted):
+        """The lookup returns the oracle's hits up to the first one the
+        drawn donor rule accepts, and reads no manifest sorting after it."""
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp) / "store"
             for (address, grade), entry in zip(LOOKUP_CELLS, entries):
                 place(root, address, grade, entry)
             store = RecordStore(root)
-            found = store.find_by_code_hash(WANTED)
-            assert [(r.address, r.grade.value) for r in found] == \
-                code_hash_lookup_oracle(root, WANTED)
+            with pytest.MonkeyPatch.context() as patch:
+                reads = self.file_reads(store, patch)
+                found = store.find_by_code_hash(
+                    WANTED, lambda r: (r.address, r.grade) in accepted)
+            expected = []
+            for address, grade in code_hash_lookup_oracle(root, WANTED):
+                expected.append((address, grade))
+                if (address, Grade(grade)) in accepted:
+                    break
+            assert [(r.address, r.grade.value) for r in found] == expected
             assert all(r.code_hash_at_verification == WANTED for r in found)
+            manifests = [p for p in reads if p.endswith("/record")]
+            assert len(manifests) == len(set(manifests))
+            if expected and (expected[-1][0], Grade(expected[-1][1])) in accepted:
+                assert max(p.split("/")[1] for p in manifests) == expected[-1][0]
             assert store.list_addresses() == sorted(
                 {address for (address, _), entry in zip(LOOKUP_CELLS, entries)
                  if isinstance(entry, VerificationRecord)})
@@ -718,10 +736,15 @@ class TestCodeHashLookup:
                                       code_hash_at_verification=shared))
         store.store_record(record(WRITER))
         reads = self.file_reads(store, monkeypatch)
-        found = store.find_by_code_hash(shared)
+        found = store.find_by_code_hash(shared, no_donor)
         assert [r.address for r in found] == [VICTIM, ATTACKER]
         assert sorted(p for p in reads if p.endswith("/record")) == [
             f"partial/{a}/record" for a in sorted((VICTIM, ATTACKER, WRITER))]
+        reads.clear()
+        found = store.find_by_code_hash(shared, lambda r: True)
+        assert [r.address for r in found] == [VICTIM]
+        assert [p for p in reads if p.endswith("/record")] == [
+            f"partial/{VICTIM}/record"]
 
     def test_records_read_each_manifest_once(self, tmp_path, monkeypatch):
         store = RecordStore(tmp_path / "store")
@@ -783,17 +806,18 @@ class TestCorruptManifest:
                                            "grade": "partial"})
         loaded = store.load(VICTIM)
         assert (loaded.address, loaded.grade) == (VICTIM, Grade.EXACT)
-        assert store.find_by_code_hash(loaded.code_hash_at_verification) \
-            == [loaded]
+        assert store.find_by_code_hash(loaded.code_hash_at_verification,
+                                       no_donor) == [loaded]
 
     def test_lookup_reads_past_a_manifest_without_the_hash(self, tmp_path):
         store = self._clobbered(tmp_path, "contract Evil {}")
         shared = keccak256(b"runtime")
         store.store_record(record(ATTACKER, code_hash_at_verification=shared))
-        assert [d.address for d in store.find_by_code_hash(shared)] == [ATTACKER]
+        assert [d.address for d in store.find_by_code_hash(shared, no_donor)
+                ] == [ATTACKER]
 
     def test_lookup_raises_on_a_broken_manifest_with_the_hash(self, tmp_path):
         shared = keccak256(b"runtime")
         store = self._clobbered(tmp_path, f'{{"codeHash": "0x{shared.hex()}",')
         with pytest.raises(CorruptRecordError):
-            store.find_by_code_hash(shared)
+            store.find_by_code_hash(shared, no_donor)
