@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ._keccak import keccak256
-from .bytecode import parse_hex, render_hex
+from ._jsonin import field, hexfield, read
+from .bytecode import render_hex
 from .errors import (
     AddressOccupiedError,
     BackendUnavailableError,
@@ -212,49 +213,24 @@ class MockChain(ChainClient):
 
     @classmethod
     def load_fixture(cls, path: str | Path) -> "MockChain":
-        """Rebuild a chain from save_fixture's output.
-
-        Anything not shaped like that output raises MalformedFixtureError.
-        """
+        """Rebuild a chain from save_fixture's output; anything not shaped
+        like that output raises MalformedFixtureError."""
+        chain, where = cls(), f"chain fixture {path}"
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise MalformedFixtureError(f"chain fixture {path} is not JSON") from exc
-        if not isinstance(payload, dict):
-            raise MalformedFixtureError(f"chain fixture {path} is not an object")
-        chain = cls()
-        for address_hex, entry in payload.items():
-            where = f"chain fixture entry {address_hex!r}"
-            address = _fixture_hex(address_hex, where, 20)
-            if not isinstance(entry, dict):
-                raise MalformedFixtureError(f"{where} is not an object")
-            creation = None
-            tx = entry.get("creationTx")
-            if tx is not None:
-                if not isinstance(tx, dict):
-                    raise MalformedFixtureError(f"{where}: creationTx is not an object")
-                creation = CreationTx(
-                    _fixture_hex(tx.get("hash"), where, 32),
-                    _fixture_hex(tx.get("input"), where),
-                    _fixture_hex(tx.get("deployer"), where, 20))
-            destroyed = entry.get("destroyed", False)
-            if not isinstance(destroyed, bool):
-                raise MalformedFixtureError(f"{where}: destroyed is not a boolean")
-            chain._contracts[address] = ChainContract(
-                LiveCode(_fixture_hex(entry.get("runtimeCode", "0x"), where)),
-                creation, destroyed)
+            payload = read(Path(path).read_text(encoding="utf-8"), of=dict)
+            for address_hex, entry in payload.items():
+                where = f"chain fixture {path}, entry {address_hex!r}"
+                address = hexfield({"address": address_hex}, "address", 20)
+                tx = field(entry, "creationTx", (dict, type(None)), None)
+                creation = None if tx is None else CreationTx(
+                    hexfield(tx, "hash", 32), hexfield(tx, "input"),
+                    hexfield(tx, "deployer", 20))
+                chain._contracts[address] = ChainContract(
+                    LiveCode(hexfield(entry, "runtimeCode", default="0x")),
+                    creation, field(entry, "destroyed", bool, False))
+        except (TypeError, ValueError) as exc:
+            raise MalformedFixtureError(f"{where}: {exc}") from exc
         return chain
-
-
-def _fixture_hex(value: object, where: str, length: int | None = None) -> bytes:
-    """One hex field of a chain fixture, of length bytes when given."""
-    if not isinstance(value, str):
-        raise MalformedFixtureError(f"{where}: {value!r} is not a hex string")
-    raw = parse_hex(value)
-    if length is not None and len(raw) != length:
-        raise MalformedFixtureError(
-            f"{where}: {value!r} is not {length} bytes")
-    return raw
 
 
 def detect_redeployment(client: ChainClient, address: bytes,

@@ -9,19 +9,18 @@ toolchain speaking standard-JSON for anyone wiring this against solc.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import subprocess
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .bytecode import parse_hex
+from ._jsonin import field, hexfield, read
 from .errors import (
     CompilerFailureError,
     MalformedLinkReferenceError,
     MalformedRequestError,
-    NonHexCharacterError,
-    OddLengthError,
     SpanOutOfRangeError,
 )
 from .linker import PlaceholderForm, PlaceholderSpan
@@ -58,10 +57,12 @@ class CompileSettings:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CompileSettings":
-        """Settings from their JSON object; an absent key takes the field's
-        default.  The values' types are the caller's to check."""
-        return cls(**{name: data[key] for key, name in _SETTINGS_KEYS
-                      if key in data})
+        """Settings from their JSON object: a key has its field default's
+        type, else TypeError, and an absent key takes that default."""
+        defaults = cls()
+        return cls(**{name: field(data, key, type(getattr(defaults, name)),
+                                  getattr(defaults, name))
+                      for key, name in _SETTINGS_KEYS})
 
 
 @dataclass
@@ -74,8 +75,8 @@ class CompilationOutput:
 
     creation_code: bytes
     runtime_template: bytes
-    immutable_refs: list[ImmutableRef] = field(default_factory=list)
-    link_refs: list[PlaceholderSpan] = field(default_factory=list)
+    immutable_refs: list[ImmutableRef] = dataclasses.field(default_factory=list)
+    link_refs: list[PlaceholderSpan] = dataclasses.field(default_factory=list)
     # ABI type strings of the constructor, or None when the ABI is undeclared
     ctor_params: list[str] | None = None
     uses_inline_assembly: bool = False
@@ -109,7 +110,7 @@ class VerificationRequest:
     settings: CompileSettings
     address: bytes | None = None
     # libName -> hex address supplied by the submitter
-    declared_libraries: dict[str, str] = field(default_factory=dict)
+    declared_libraries: dict[str, str] = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.sources:
@@ -130,43 +131,20 @@ class VerificationRequest:
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationRequest":
+        """The request in text; MalformedRequestError for any other shape
+        than to_json's.  No type is coerced: 1.5, true or "200" is no integer."""
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MalformedRequestError(f"request is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict) or "sources" not in payload:
-            raise MalformedRequestError("request must be an object with sources")
-        sources = payload["sources"]
-        if not isinstance(sources, dict) or not all(
-                isinstance(body, str) for body in sources.values()):
-            raise MalformedRequestError(
-                "sources must map each path to its source text")
-        settings = payload.get("settings", {})
-        if not isinstance(settings, dict) or not all(
-                isinstance(settings.get(key, ""), str)
-                for key in ("compilerVersion", "evmVersion", "target")):
-            raise MalformedRequestError(
-                "settings must be an object with text version and target fields")
-        runs = settings.get("optimizerRuns", 0)
-        if isinstance(runs, bool) or not isinstance(runs, int):
-            # int() would turn 1.5 and true into 1 and accept "200": the
-            # request would compile under settings it does not state
-            raise MalformedRequestError(
-                f"optimizerRuns must be an integer, got {runs!r}")
-        address = payload.get("address")
-        if address is not None and not isinstance(address, str):
-            raise MalformedRequestError("address must be a hex string")
-        libraries = payload.get("libraries", {})
-        if not isinstance(libraries, dict) or not all(
-                isinstance(lib, str) for lib in libraries.values()):
-            raise MalformedRequestError(
-                "libraries must map each library name to an address")
-        return cls(
-            sources=sources,
-            settings=CompileSettings.from_dict(settings),
-            address=parse_hex(address) if address else None,
-            declared_libraries=libraries,
-        )
+            payload = read(text)
+            address = field(payload, "address", (str, type(None)), None)
+            return cls(
+                sources=field(payload, "sources", dict, of=str),
+                settings=CompileSettings.from_dict(
+                    field(payload, "settings", dict, {})),
+                address=hexfield(payload, "address") if address else None,
+                declared_libraries=field(payload, "libraries", dict, {},
+                                         of=str))
+        except (TypeError, ValueError) as exc:
+            raise MalformedRequestError(str(exc)) from exc
 
 
 class CompilerInterface(ABC):
@@ -254,77 +232,45 @@ class ExternalCompiler(CompilerInterface):
         })
         try:
             proc = subprocess.run(
-                self._command, input=stdin, capture_output=True,
-                text=True, timeout=self._timeout, check=False,
+                self._command, input=stdin.encode(), capture_output=True,
+                timeout=self._timeout, check=False,
             )
         except (OSError, subprocess.TimeoutExpired) as exc:
             raise CompilerFailureError(f"compiler invocation failed: {exc}") from exc
         if proc.returncode != 0:
             raise CompilerFailureError(
-                f"compiler exited {proc.returncode}: {proc.stderr.strip()[:500]}")
-        try:
-            return _artifact(json.loads(proc.stdout))
-        except (TypeError, ValueError, RecursionError, NonHexCharacterError,
-                OddLengthError, SpanOutOfRangeError,
-                MalformedLinkReferenceError) as exc:
-            raise CompilerFailureError(f"unusable compiler output: {exc}") from exc
+                f"compiler exited {proc.returncode}: "
+                f"{proc.stderr.decode(errors='replace').strip()[:500]}")
+        return _artifact(proc.stdout)
 
 
-def _artifact(payload: object) -> CompilationOutput:
-    """ExternalCompiler's output from its artifact.  Every field must have
-    the type the artifact shape names, else TypeError or ValueError; the
-    output's own check raises on references outside the runtime or
-    overlapping."""
-    if not isinstance(payload, dict):
-        raise TypeError("the artifact is not a JSON object")
-    params = payload.get("constructorParams")
-    if params is not None and not (isinstance(params, list) and all(
-            isinstance(param, str) for param in params)):
-        raise TypeError(f"constructorParams must be null or a list of ABI "
-                        f"type strings, got {params!r}")
-    return CompilationOutput(
-        creation_code=parse_hex(_text(payload, "creation")),
-        runtime_template=parse_hex(_text(payload, "runtime")),
-        immutable_refs=[
-            ImmutableRef(_integer(item, "offset"), _integer(item, "length"),
-                         _text(item, "name", ""))
-            for item in _objects(payload, "immutableReferences")],
-        link_refs=[
-            PlaceholderSpan(
-                offset=_integer(item, "offset"),
-                file_path=_text(item, "filePath", ""),
-                lib_name=_text(item, "libName"),
-                form=(PlaceholderForm.LEGACY if item.get("form") == "legacy"
-                      else PlaceholderForm.HASH))
-            for item in _objects(payload, "linkReferences")],
-        ctor_params=params,
-        uses_inline_assembly=bool(payload.get("usesInlineAssembly", False)),
-    )
-
-
-def _text(item: dict, key: str, default: str | None = None) -> str:
-    """item[key], a string; default when absent, where there is one."""
-    value = item.get(key, default)
-    if not isinstance(value, str):
-        raise TypeError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _objects(payload: dict, key: str) -> list[dict]:
-    """payload[key], a list of objects; empty when absent."""
-    items = payload.get(key, [])
-    if not (isinstance(items, list)
-            and all(isinstance(item, dict) for item in items)):
-        raise TypeError(f"{key} must be a list of objects")
-    return items
-
-
-def _integer(item: dict, key: str) -> int:
-    """item[key], an integer and not a boolean."""
-    value = item.get(key)
-    if type(value) is not int:
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    return value
+def _artifact(text: bytes | str) -> CompilationOutput:
+    """The output in the artifact a compiler printed; CompilerFailureError
+    for any other shape than ExternalCompiler names, or a bad reference."""
+    try:
+        payload = read(text)
+        return CompilationOutput(
+            creation_code=hexfield(payload, "creation"),
+            runtime_template=hexfield(payload, "runtime"),
+            immutable_refs=[
+                ImmutableRef(field(item, "offset", int), field(item, "length", int),
+                             field(item, "name", str, ""))
+                for item in field(payload, "immutableReferences", list, [],
+                                  of=dict)],
+            link_refs=[
+                PlaceholderSpan(
+                    offset=field(item, "offset", int),
+                    file_path=field(item, "filePath", str, ""),
+                    lib_name=field(item, "libName", str),
+                    form=PlaceholderForm(field(item, "form", str, "hash")))
+                for item in field(payload, "linkReferences", list, [],
+                                  of=dict)],
+            ctor_params=field(payload, "constructorParams",
+                              (list, type(None)), None, of=str),
+            uses_inline_assembly=field(payload, "usesInlineAssembly", bool, False))
+    except (TypeError, ValueError, SpanOutOfRangeError,
+            MalformedLinkReferenceError) as exc:
+        raise CompilerFailureError(f"unusable compiler output: {exc}") from exc
 
 
 def make_creation_code(runtime: bytes, extra: bytes = b"") -> bytes:

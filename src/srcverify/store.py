@@ -80,8 +80,9 @@ def _sha256_hex(data: bytes) -> str:
 
 
 def _read_bytes(path: str) -> bytes:
-    """The whole file: one open, reads to EOF, one close."""
-    fd = os.open(path, os.O_RDONLY)
+    """The whole file: one open, reads to EOF, one close.  Non-blocking, so
+    a FIFO where a file belongs reads as empty, not as a wait for a writer."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
         chunks = []
         while chunk := os.read(fd, _READ_SIZE):
@@ -188,17 +189,15 @@ class RecordStore:
         """The one spelling of a record's directory, normalized."""
         return f"{self._inside}{grade.value}/{address}"
 
-    def _find(self, address: str) -> tuple[Grade, str] | None:
-        for grade in _STORABLE_GRADES:
+    def _find(self, address: str) -> tuple[Grade, str, bytes] | None:
+        """The grade, directory and manifest bytes of address's record.  An
+        exact upgrade renames its manifest in, then removes the partial
+        directory, so where neither grade reads, exact/ is read once more:
+        a reader that runs across the upgrade still finds the record."""
+        for grade in (*_STORABLE_GRADES, Grade.EXACT):
             directory = self._record_dir(grade, address)
-            path = directory + "/" + RECORD_FILENAME
-            try:
-                if stat.S_ISREG(os.stat(path).st_mode):
-                    return grade, directory
-            except (FileNotFoundError, NotADirectoryError):
-                pass
-            except OSError as exc:
-                raise _unreadable(path, exc) from exc
+            if (raw := _read_manifest(directory)) is not None:
+                return grade, directory, raw
         return None
 
     # --- writing ---
@@ -224,7 +223,7 @@ class RecordStore:
         with self._lock:
             found = self._find(record.address)
             if found is not None:
-                old_grade, old_dir = found
+                old_grade, old_dir, _ = found
                 if not allow_replacement:
                     raise ReplacementDeniedError(
                         f"{record.address} already verified and this store "
@@ -412,8 +411,8 @@ class RecordStore:
     def has(self, address: str | bytes) -> bool:
         return self._find(normalize_address(address)) is not None
 
-    def _locate(self, address: str | bytes) -> tuple[str, Grade, str]:
-        """The stored record's address, grade and directory."""
+    def _locate(self, address: str | bytes) -> tuple[str, Grade, str, bytes]:
+        """The stored record's address, grade, directory and manifest bytes."""
         key = normalize_address(address)
         if (found := self._find(key)) is None:
             raise NotVerifiedError(f"no record for {key}")
@@ -429,12 +428,9 @@ class RecordStore:
         A record that an exact upgrade moves while it is read is read again
         from its new place.
         """
-        key, grade, directory = self._locate(address)
+        key, grade, directory, raw = self._locate(address)
         try:
-            raw = _read_manifest(directory)
-            if raw is not None:
-                return self._build(key, grade,
-                                   *self._decode(raw, directory, key))
+            return self._build(key, grade, *self._decode(raw, directory, key))
         except CorruptRecordError:
             if not self._moved(key, grade, directory):
                 raise
@@ -444,7 +440,7 @@ class RecordStore:
         """Whether key's record has left the directory it was located in:
         an exact upgrade renames its manifest in, then removes the partial
         directory, so a read there may find files gone."""
-        return self._find(key) != (grade, directory)
+        return (self._find(key) or ())[:2] != (grade, directory)
 
     @staticmethod
     def _build(key: str, grade: Grade, fields: dict,
@@ -520,20 +516,18 @@ class RecordStore:
 
     def verify_integrity(self, address: str | bytes) -> list[str]:
         """Virtual paths whose on-disk body no longer matches its digest."""
-        key, grade, directory = self._locate(address)
-        raw = _read_manifest(directory)
-        if raw is not None:
-            _, bodies = self._decode(raw, directory, key)
-            tampered = []
-            for virtual_path, (path, digest) in bodies.items():
-                try:
-                    body = _read_bytes(path)
-                except (OSError, ValueError):  # missing, not a file, NUL
-                    body = None
-                if body is None or _sha256_hex(body) != digest:
-                    tampered.append(virtual_path)
-            if not tampered or not self._moved(key, grade, directory):
-                return tampered
+        key, grade, directory, raw = self._locate(address)
+        _, bodies = self._decode(raw, directory, key)
+        tampered = []
+        for virtual_path, (path, digest) in bodies.items():
+            try:
+                body = _read_bytes(path)
+            except (OSError, ValueError):  # missing, not a file, NUL
+                body = None
+            if body is None or _sha256_hex(body) != digest:
+                tampered.append(virtual_path)
+        if not tampered or not self._moved(key, grade, directory):
+            return tampered
         return self.verify_integrity(key)
 
     def snapshot(self) -> dict[str, str]:

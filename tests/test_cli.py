@@ -121,6 +121,19 @@ class TestVerifyAndQuery:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command,option", [
+        ("verify", "request"), ("query", "chain")])
+    def test_refuses_json_nested_past_the_recursion_limit(
+            self, world, capsys, command, option):
+        Path(world[option]).write_text("[" * 100_000 + "]" * 100_000)
+        argv = [world["request"] if command == "verify" else world["address"],
+                "--chain", world["chain"], "--store", world["store"]]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_query_round_trip(self, world, capsys):
         run(capsys, "verify", world["request"], "--chain", world["chain"],
             "--store", world["store"], "--compiler", world["compiler"])
@@ -329,11 +342,21 @@ class TestExternalCompilerArtifact:
                                        {"offset": 0, "libName": "L"}]),
         dict(ARTIFACT, runtime="0xzz"),
         dict(ARTIFACT, creation="0x123"),
+        dict(ARTIFACT, usesInlineAssembly="false"),
+        dict(ARTIFACT, usesInlineAssembly=0),
+        dict(ARTIFACT, usesInlineAssembly=""),
+        dict(ARTIFACT, usesInlineAssembly=None),
+        dict(ARTIFACT, linkReferences=[{"offset": 0, "libName": "L",
+                                        "form": "Legacy"}]),
+        dict(ARTIFACT, linkReferences=[{"offset": 0, "libName": "L",
+                                        "form": None}]),
     ], ids=["list", "runtime-int", "length-str", "length-bool",
             "offset-negative", "offset-past-runtime", "name-int",
             "references-object", "link-past-runtime", "lib-name-int",
             "params-int", "params-str", "immutable-overlap", "link-overlap",
-            "runtime-nonhex", "creation-odd"])
+            "runtime-nonhex", "creation-odd", "assembly-str-false",
+            "assembly-zero", "assembly-empty", "assembly-null",
+            "form-unknown", "form-null"])
     def test_malformed_artifact_is_refused(self, world, tmp_path, capsys,
                                            artifact):
         code, out, err = run(capsys, "verify", world["request"],
@@ -345,6 +368,19 @@ class TestExternalCompilerArtifact:
         assert err.startswith("error: ")
         assert "unusable compiler output" in err
         assert not Path(world["store"], "exact").exists()
+
+    def test_output_that_is_not_text_is_refused(self, world, tmp_path,
+                                                capsys):
+        script = tmp_path / "bytes_solc.py"
+        script.write_text("import sys\nsys.stdin.read()\n"
+                          "sys.stdout.buffer.write(b'{\"creation\": \"\\xff\"}')\n")
+        code, out, err = run(capsys, "verify", world["request"],
+                             "--chain", world["chain"],
+                             "--store", world["store"],
+                             "--compiler", f"{sys.executable} {script}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: unusable compiler output")
 
 
 class TestDamagedStore:

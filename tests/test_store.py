@@ -427,6 +427,39 @@ class TestReplacementLattice:
         assert store.verify_integrity(VICTIM) == []
         assert not (tmp_path / "partial" / VICTIM).exists()
 
+    @pytest.mark.parametrize("read,found", [
+        ("load", record(VICTIM, grade=Grade.EXACT, timestamp=2.0)),
+        ("has", True), ("verify_integrity", [])],
+        ids=["load", "has", "verify_integrity"])
+    def test_reader_across_an_exact_upgrade_finds_the_record(
+            self, tmp_path, monkeypatch, read, found):
+        # the reader looks for exact/ before the upgrade renames it in and
+        # for partial/ after the upgrade removed it
+        store = RecordStore(tmp_path)
+        store.store_record(record(VICTIM, timestamp=1.0))
+        upgrade_after_looking_at(
+            monkeypatch, store, f"exact/{VICTIM}/record",
+            record(VICTIM, grade=Grade.EXACT, timestamp=2.0))
+        assert getattr(store, read)(VICTIM) == found
+        assert not (tmp_path / "partial" / VICTIM).exists()
+
+
+def upgrade_after_looking_at(monkeypatch, store, path, upgrade):
+    """Store upgrade from inside the store's first look at path, relative
+    to the store root, by os.stat or os.open, once that look is made."""
+    pending = [upgrade]
+
+    def after(call):
+        def look(where, *args, **kwargs):
+            try:
+                return call(where, *args, **kwargs)
+            finally:
+                if pending and os.path.relpath(where, store.root) == path:
+                    store.store_record(pending.pop())
+        return look
+
+    store_sees_os_with(monkeypatch, stat=after(os.stat), open=after(os.open))
+
 
 def upgrade_on_reading(monkeypatch, store, path, upgrade):
     """Store upgrade from inside the store's first read of path, relative
@@ -800,6 +833,16 @@ class TestCorruptManifest:
             store.verify_integrity(VICTIM)
         with pytest.raises(CorruptRecordError):
             list(store.records())
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    def test_fifo_in_place_of_a_manifest_is_corrupt_not_a_wait(self, tmp_path):
+        store = RecordStore(tmp_path)
+        (tmp_path / "exact" / VICTIM).mkdir(parents=True)
+        os.mkfifo(tmp_path / "exact" / VICTIM / "record")
+        assert store.has(VICTIM)
+        assert store.list_addresses() == [VICTIM]
+        with pytest.raises(CorruptRecordError):
+            store.load(VICTIM)
 
     def test_address_and_grade_come_from_the_location(self, tmp_path):
         store = self._clobbered(tmp_path, {"address": ATTACKER,
