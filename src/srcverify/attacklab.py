@@ -683,12 +683,11 @@ GUARDS: dict[str, Guard] = {
         "runtime-hash inheritance accepts donors whose match came from "
         "hand-written assembly, auto-labeling every identical deployment",
         canonical=True),
-    "trust_simulated_return": Guard(
-        "R2", True,
+    "immutable_strategy": Guard(
+        "R2", ImmutableStrategy.SIM_TRUSTED,
         "simulated constructor return is compared against the chain "
         "without checking it against the compiled template",
-        requires={"immutable_strategy": ImmutableStrategy.SIM_GUARDED,
-                  "requirement": Requirement.EITHER},
+        requires={"requirement": Requirement.EITHER},
         canonical=True),
     "accept_imported_records": Guard(
         "R2", True,
@@ -728,7 +727,6 @@ GUARDS: dict[str, Guard] = {
         "R8", False,
         "views show bare contract names and basenames, which collide "
         "when two files declare the same name", canonical=True),
-    "immutable_strategy": Guard(None, ImmutableStrategy.CHAIN_BACKFILL),
     "allow_record_replacement": Guard(None, False),
 }
 

@@ -32,6 +32,7 @@ from .errors import (
 from .linker import LibraryBinding, PlaceholderMode, resolve
 from .metadata import MetadataSpan, scan_metadata, strip_spans
 from .simulator import (
+    DEFAULT_ENV,
     ImmutableStrategy,
     backfill_immutables_from_chain,
     resolve_immutables_by_simulation,
@@ -162,7 +163,6 @@ def match_runtime(
     strategy: ImmutableStrategy,
     *,
     ctor_args: bytes = b"",
-    trust_simulated_return: bool = False,
     placeholder_mode: PlaceholderMode = PlaceholderMode.OFFSET_LITERAL,
     metadata_spans: list[MetadataSpan] | None = None,
 ) -> ArtifactReport:
@@ -179,12 +179,12 @@ def match_runtime(
     report = ArtifactReport()
     local = output.runtime_template
 
-    if strategy is ImmutableStrategy.SIM_GUARDED:
-        # always simulate: with no declared regions the return must equal the
-        # template byte for byte, which is what closes R2's foreign-return gap
+    if strategy is not ImmutableStrategy.CHAIN_BACKFILL:
+        # always simulate; SIM_GUARDED holds the return to the template, byte
+        # for byte where no region is declared, closing R2's foreign-return gap
         local = resolve_immutables_by_simulation(
             local, output.immutable_refs, output.creation_code, ctor_args,
-            trust_simulated_return=trust_simulated_return)
+            DEFAULT_ENV, strategy is ImmutableStrategy.SIM_TRUSTED)
     elif output.immutable_refs:
         local = backfill_immutables_from_chain(local, output.immutable_refs, onchain)
         for ref in output.immutable_refs:

@@ -23,13 +23,14 @@ from .errors import (
     ImportRefusedError,
     MalformedRequestError,
     NoDonorError,
+    NoMatchError,
     NotFoundError,
     PathEscapeError,
     ReplacementDeniedError,
     StaleRecordError,
     VerifierError,
 )
-from .linker import PlaceholderMode
+from .linker import PlaceholderForm, PlaceholderMode
 from .matching import (
     Grade,
     MatchResult,
@@ -42,6 +43,10 @@ from .matching import (
 from .metadata import differential_extract
 from .simulator import ImmutableStrategy
 from .store import RecordStore, VerificationRecord, normalize_address
+
+# intake caps: a request past either is refused before anything compiles
+MAX_SOURCE_FILES = 1_000
+MAX_SOURCE_BYTES = 16 << 20  # total UTF-8 bytes of every source body
 
 INLINE_ASSEMBLY_WARNING = "inline-assembly"
 UNVERIFIED_LIBRARY_WARNING = "unverified-library"
@@ -60,7 +65,6 @@ class VerifierConfig:
     immutable_strategy: ImmutableStrategy
     placeholder_mode: PlaceholderMode
     metadata_labeler: MetadataLabeler
-    trust_simulated_return: bool
     allow_parent_path_refs: bool
     disclose_full_paths: bool
     require_verified_libraries: bool
@@ -77,7 +81,6 @@ HARDENED = VerifierConfig(
     immutable_strategy=ImmutableStrategy.SIM_GUARDED,
     placeholder_mode=PlaceholderMode.OFFSET_LITERAL,
     metadata_labeler=MetadataLabeler.PATTERN_SCAN,
-    trust_simulated_return=False,
     allow_parent_path_refs=False,
     disclose_full_paths=True,
     require_verified_libraries=True,
@@ -103,8 +106,8 @@ NAIVE_SOURCIFY_LIKE = replace(
     HARDENED,
     name="NaiveSourcifyLike",
     strict_creation_prefix=False,
+    immutable_strategy=ImmutableStrategy.SIM_TRUSTED,
     placeholder_mode=PlaceholderMode.REGEX_NAIVE,
-    trust_simulated_return=True,
     allow_parent_path_refs=True,
     require_verified_libraries=False,
     recheck_code_hash_on_read=False,
@@ -117,7 +120,6 @@ NAIVE_BLOCKSCOUT_LIKE = replace(
     requirement=Requirement.CREATION_ONLY,
     strict_creation_prefix=False,
     metadata_labeler=MetadataLabeler.DIFFERENTIAL,
-    trust_simulated_return=True,
     allow_parent_path_refs=True,
     disclose_full_paths=False,
     require_verified_libraries=False,
@@ -154,8 +156,6 @@ _DRIVE_PREFIX = re.compile(r"^[A-Za-z]:[/\\]")
 def sanitize_path(path: str) -> str:
     """Normalize one virtual source path, rejecting anything that could
     write outside the record's own directory."""
-    if not path or path == ".":
-        raise MalformedRequestError("empty source path")
     if "\0" in path:
         raise MalformedRequestError(f"source path holds a NUL byte: {path!r}")
     if _SCHEME_PREFIX.match(path):
@@ -165,6 +165,8 @@ def sanitize_path(path: str) -> str:
     if path.startswith(("/", "\\")):
         raise AbsolutePathError(f"source path is absolute: {path!r}")
     clean = posixpath.normpath(path.replace("\\", "/"))
+    if clean == ".":
+        raise MalformedRequestError(f"source path {path!r} names no file")
     if clean == ".." or clean.startswith("../"):
         raise PathEscapeError(
             f"source path {path!r} escapes the record directory")
@@ -258,12 +260,25 @@ class VerifyService:
         filesystem refuses.
         """
         cfg = self.config
+        if len(request.sources) > MAX_SOURCE_FILES:
+            raise MalformedRequestError(
+                f"request carries {len(request.sources)} sources; the cap is "
+                f"{MAX_SOURCE_FILES}")
+        # a lone surrogate is counted here and refused by the store's write
+        size = sum(len(body.encode("utf-8", "surrogatepass"))
+                   for body in request.sources.values())
+        if size > MAX_SOURCE_BYTES:
+            raise MalformedRequestError(
+                f"request carries {size} bytes of source; the cap is "
+                f"{MAX_SOURCE_BYTES}")
         if request.address is None:
             raise MalformedRequestError("request names no contract address")
         if not request.settings.target:
             raise MalformedRequestError("request names no compilation target")
         address = normalize_address(request.address)
         address_bytes = bytes.fromhex(address[2:])
+        declared = {name: normalize_address(value)
+                    for name, value in request.declared_libraries.items()}
 
         sources = sanitize_paths(
             request.sources, allow_parent_refs=cfg.allow_parent_path_refs)
@@ -286,15 +301,18 @@ class VerifyService:
         for report in (result.creation_report, result.runtime_report):
             if report is not None:
                 warnings.extend(report.immutable_audit)
-        if cfg.require_verified_libraries and result.runtime_report is not None:
-            for binding in result.runtime_report.placeholder_bindings:
-                if binding.unset:
-                    continue
-                bound = normalize_address(binding.address)
-                if not self.store.has(bound):
-                    warnings.append(
-                        f"{UNVERIFIED_LIBRARY_WARNING}:"
-                        f"{binding.span.lib_name}@{bound}")
+        runtime = result.runtime_report
+        for binding in runtime.placeholder_bindings if runtime else ():
+            name, bound = binding.span.lib_name, normalize_address(binding.address)
+            # a hash-form span carries a digest, not the library's name
+            if (binding.span.form is PlaceholderForm.LEGACY
+                    and declared.get(name, bound) != bound):
+                raise NoMatchError(
+                    f"library {name} is declared at {declared[name]}, but the "
+                    f"live code links {bound}")
+            if (cfg.require_verified_libraries and not binding.unset
+                    and not self.store.has(bound)):
+                warnings.append(f"{UNVERIFIED_LIBRARY_WARNING}:{name}@{bound}")
 
         settings_dict = settings.as_dict()
         if request.declared_libraries:
@@ -358,7 +376,6 @@ class VerifyService:
             runtime = _attempt(
                 match_runtime, output, onchain.code, cfg.immutable_strategy,
                 ctor_args=tx_input[len(output.creation_code):],
-                trust_simulated_return=cfg.trust_simulated_return,
                 placeholder_mode=cfg.placeholder_mode,
                 metadata_spans=spans.get("runtime"))
 

@@ -53,6 +53,7 @@ class HaltReason(Enum):
 
 class ImmutableStrategy(Enum):
     SIM_GUARDED = "sim-guarded"      # execute creation, check return against template
+    SIM_TRUSTED = "sim-trusted"      # execute creation, use its return verbatim
     CHAIN_BACKFILL = "chain-backfill"  # copy on-chain bytes into the regions
 
 

@@ -93,8 +93,11 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _write_bytes(path: str, data: bytes) -> None:
-    """Create or truncate the file and write all of data: one open, one close."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    """Create or truncate the file and write all of data: one open, one
+    close.  Non-blocking, so a FIFO where a file belongs fails to open
+    (ENXIO) while no reader holds it, not as a wait for one."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK,
+                 0o666)
     try:
         written = 0
         while written < len(data):
@@ -299,7 +302,9 @@ class RecordStore:
     def _check_disk(self, files: list[str], dirs: set[str]) -> list[str]:
         """Raise what the write would raise, before a byte is written:
         ``FileExistsError`` or ``IsADirectoryError`` for an entry of the
-        other kind, ``NotADirectoryError`` for a path under a file,
+        other kind (where a file goes, anything but a regular file: a FIFO
+        would hold the write, and the store's lock, until a reader came),
+        ``NotADirectoryError`` for a path under a file,
         ``ENAMETOOLONG`` for a name the filesystem cannot take, and what
         ``os.stat`` raises for a path it refuses (a NUL byte is a
         ``ValueError``).  Without this a source path such as
@@ -310,7 +315,7 @@ class RecordStore:
         missing = []
         for path in sorted((dirs - self._root_dirs).union(files)):
             try:
-                is_dir = stat.S_ISDIR(os.stat(path).st_mode)
+                mode = os.stat(path).st_mode
             except FileNotFoundError:
                 if len(os.fsencode(posixpath.basename(path))) > self._name_max:
                     raise OSError(errno.ENAMETOOLONG,
@@ -318,8 +323,8 @@ class RecordStore:
                 if path in dirs:
                     missing.append(path)
                 continue
-            if is_dir is not (path in dirs):
-                code = errno.EISDIR if is_dir else errno.EEXIST
+            if not (stat.S_ISDIR if path in dirs else stat.S_ISREG)(mode):
+                code = errno.EISDIR if stat.S_ISDIR(mode) else errno.EEXIST
                 raise OSError(code, os.strerror(code), path)
         return missing
 

@@ -224,6 +224,42 @@ class TestScanConfig:
             risks = {rid for _, rid, _ in scan_config(config)}
             assert risks == expected[name], name
 
+    def test_rows_per_profile(self):
+        rows = {
+            "Hardened": [],
+            "NaiveEtherscanLike": [
+                ("inherit_flagged_donors", "R1"),
+                ("recheck_code_hash_on_read", "R4"),
+                ("require_verified_libraries", "R5"),
+                ("disclose_full_paths", "R8")],
+            "NaiveSourcifyLike": [
+                ("inherit_flagged_donors", "R1"),
+                ("immutable_strategy", "R2"),
+                ("strict_creation_prefix", "R3"),
+                ("recheck_code_hash_on_read", "R4"),
+                ("require_verified_libraries", "R5"),
+                ("placeholder_mode", "R6"),
+                ("allow_parent_path_refs", "R7")],
+            "NaiveBlockscoutLike": [
+                ("inherit_flagged_donors", "R1"),
+                ("accept_imported_records", "R2"),
+                ("strict_creation_prefix", "R3"),
+                ("recheck_code_hash_on_read", "R4"),
+                ("require_verified_libraries", "R5"),
+                ("requirement", "R5"),
+                ("metadata_labeler", "R6"),
+                ("allow_parent_path_refs", "R7"),
+                ("disclose_full_paths", "R8")],
+        }
+        for name, config in PROFILES.items():
+            assert [(f, r) for f, r, _ in scan_config(config)] == [
+                ("partial-matching", "R1"), *rows[name]], name
+
+    def test_only_requirement_is_required(self):
+        assert len(GUARDS) == 12
+        assert {other for guard in GUARDS.values()
+                for other in guard.requires} == {"requirement"}
+
     def test_hardened_reports_only_the_residual(self):
         findings = scan_config(HARDENED)
         assert len(findings) == 1
@@ -266,8 +302,7 @@ class TestScanConfig:
     @pytest.mark.parametrize("config", [
         replace(NAIVE_ETHERSCAN_LIKE, placeholder_mode=PlaceholderMode.REGEX_NAIVE),
         replace(NAIVE_ETHERSCAN_LIKE,
-                immutable_strategy=ImmutableStrategy.SIM_GUARDED,
-                trust_simulated_return=True),
+                immutable_strategy=ImmutableStrategy.SIM_TRUSTED),
         replace(NAIVE_BLOCKSCOUT_LIKE,
                 placeholder_mode=PlaceholderMode.REGEX_NAIVE,
                 metadata_labeler=MetadataLabeler.PATTERN_SCAN),
@@ -281,7 +316,7 @@ class TestScanConfig:
         assert exploited == reported
 
     @settings(max_examples=100, deadline=None)
-    @example(frozenset({"immutable_strategy", "trust_simulated_return"}))
+    @example(frozenset({"immutable_strategy", "requirement"}))
     @given(st.frozensets(st.sampled_from(sorted(TOGGLE_RISKS))))
     def test_scan_agrees_with_lab_on_flip_subsets(self, flips):
         config = HARDENED

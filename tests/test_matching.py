@@ -185,8 +185,7 @@ class TestMatchRuntime:
             creation_code=make_creation_code(victim_runtime),
             runtime_template=bytes(10))
         report = match_runtime(output, victim_runtime,
-                               ImmutableStrategy.SIM_GUARDED,
-                               trust_simulated_return=True)
+                               ImmutableStrategy.SIM_TRUSTED)
         assert report.exact_eligible
 
     def test_immutable_filled_by_simulation(self):

@@ -26,11 +26,13 @@ from srcverify.compiler import (
 )
 from srcverify.errors import (
     AbsolutePathError,
+    CompilerFailureError,
     CorruptRecordError,
     DuplicateAfterNormalizationError,
     EmptyLocalBytecodeError,
     ForeignReturnDataError,
     ImportRefusedError,
+    MalformedAddressError,
     MalformedRequestError,
     NoDonorError,
     NoMatchError,
@@ -47,6 +49,8 @@ from srcverify.metadata import make_metadata_block
 from srcverify.service import (
     HARDENED,
     INLINE_ASSEMBLY_WARNING,
+    MAX_SOURCE_BYTES,
+    MAX_SOURCE_FILES,
     NAIVE_BLOCKSCOUT_LIKE,
     NAIVE_ETHERSCAN_LIKE,
     NAIVE_SOURCIFY_LIKE,
@@ -57,7 +61,7 @@ from srcverify.service import (
     sanitize_path,
     sanitize_paths,
 )
-from srcverify.simulator import ImmutableRef
+from srcverify.simulator import ImmutableRef, ImmutableStrategy
 from srcverify.store import RecordStore, VerificationRecord
 
 BODY = bytes.fromhex("6080604052600a600055")
@@ -142,9 +146,10 @@ class TestSanitizePaths:
         with pytest.raises(AbsolutePathError):
             sanitize_path(path)
 
-    def test_empty_rejected(self):
+    @pytest.mark.parametrize("path", ["", ".", "./", "a/..", "x/./.."])
+    def test_empty_rejected(self, path):
         with pytest.raises(MalformedRequestError):
-            sanitize_path("")
+            sanitize_path(path)
 
     def test_nul_byte_rejected(self):
         with pytest.raises(MalformedRequestError):
@@ -221,7 +226,7 @@ class TestProfiles:
     def test_hardened_guards_all_on(self):
         assert HARDENED.requirement is Requirement.EITHER
         assert HARDENED.strict_creation_prefix
-        assert not HARDENED.trust_simulated_return
+        assert HARDENED.immutable_strategy is ImmutableStrategy.SIM_GUARDED
         assert not HARDENED.allow_parent_path_refs
         assert HARDENED.disclose_full_paths
         assert HARDENED.require_verified_libraries
@@ -503,6 +508,58 @@ class TestSubmitVerification:
         record = w.service.submit_verification(w.request)
         assert not any(x.startswith("unverified-library") for x in record.warnings)
 
+    @staticmethod
+    def linked_vault(config, tmp_path, declared, live=bytes.fromhex("ee" * 20)):
+        """A vault linking Safe at a legacy placeholder, the live code
+        binding the library at live, which is verified under its own
+        source; the request declares Safe at declared."""
+        template = b"\x60\x80" + bytes(20) + b"\x00" + BLOCK_A
+        output = CompilationOutput(
+            creation_code=make_creation_code(template),
+            runtime_template=template,
+            link_refs=[PlaceholderSpan(2, "lib/s.sol", "Safe",
+                                       PlaceholderForm.LEGACY)])
+        w = build(config, tmp_path, output=output,
+                  deployed_runtime=b"\x60\x80" + live + b"\x00" + BLOCK_A)
+        w.store.store_record(VerificationRecord(
+            address=live, grade=Grade.EXACT,
+            sources={"lib/s.sol": "library Safe {}"},
+            fully_qualified_target="lib/s.sol:Safe", settings={},
+            code_hash_at_verification=keccak256(b"library runtime")))
+        w.request.declared_libraries = {"Safe": declared}
+        return w
+
+    @pytest.mark.parametrize("config", [
+        HARDENED, NAIVE_ETHERSCAN_LIKE, NAIVE_SOURCIFY_LIKE],
+        ids=lambda config: config.name)
+    def test_declared_library_the_live_code_does_not_link_refused(
+            self, config, tmp_path):
+        benign, live = "0x" + "cd" * 20, "0x" + "ee" * 20
+        w = self.linked_vault(config, tmp_path, benign)
+        before = w.store.snapshot()
+        with pytest.raises(NoMatchError) as excinfo:
+            w.service.submit_verification(w.request)
+        assert all(part in str(excinfo.value) for part in ("Safe", benign, live))
+        assert w.store.snapshot() == before
+
+    @pytest.mark.parametrize("config", [HARDENED, NAIVE_SOURCIFY_LIKE],
+                             ids=lambda config: config.name)
+    def test_declared_library_the_live_code_links_stored_as_declared(
+            self, config, tmp_path):
+        declared = "0x" + "EE" * 20
+        w = self.linked_vault(config, tmp_path, declared)
+        record = w.service.submit_verification(w.request)
+        assert record.grade is Grade.EXACT
+        assert w.service.query(w.address).settings["libraries"] == {
+            "Safe": declared}
+
+    @pytest.mark.parametrize("declared", ["0x1234", 5, "ee" * 20 + "\n"])
+    def test_declared_library_that_is_no_address_refused(self, declared,
+                                                         tmp_path):
+        w = self.linked_vault(HARDENED, tmp_path, declared)
+        with pytest.raises(MalformedAddressError):
+            w.service.submit_verification(w.request)
+
     def test_backfill_audit_surfaces_as_warning(self, tmp_path):
         template = bytes.fromhex("600a600a") + bytes(32) + bytes.fromhex("5b600055")
         instr = bytes.fromhex(
@@ -579,6 +636,54 @@ def without_timestamp(record: VerificationRecord) -> dict:
     fields = dataclasses.asdict(record)
     del fields["timestamp"]
     return fields
+
+
+def sources_at_caps(extra_file=False, extra_byte=False):
+    """MAX_SOURCE_FILES sources holding MAX_SOURCE_BYTES UTF-8 bytes, two
+    to a character, or one file or byte past a cap; a.sol is the target."""
+    sources = {f"f{i}.sol": "" for i in range(MAX_SOURCE_FILES - 1)}
+    sources["a.sol"] = "\u00e9" * (MAX_SOURCE_BYTES // 2) + "x" * extra_byte
+    if extra_file:
+        sources["b.sol"] = ""
+    return sources
+
+
+class TestIntakeCaps:
+    @pytest.mark.parametrize("past", ["files", "bytes"])
+    @pytest.mark.parametrize("config", PROFILES.values(), ids=list(PROFILES))
+    def test_request_past_a_cap_refused_before_compiling(self, config, past,
+                                                         tmp_path):
+        w = build(config, tmp_path)
+        w.service.submit_verification(w.request)
+        before = w.store.snapshot()
+        calls = []
+        w.service.compiler = SimpleNamespace(
+            compile=lambda sources, settings: calls.append(sources))
+        request = VerificationRequest(
+            sources=sources_at_caps(extra_file=past == "files",
+                                    extra_byte=past == "bytes"),
+            settings=CompileSettings(target="a.sol:A"), address=w.address)
+        with pytest.raises(MalformedRequestError, match="the cap is"):
+            w.service.submit_verification(request)
+        assert calls == []
+        assert w.store.snapshot() == before
+
+    @pytest.mark.parametrize("config", PROFILES.values(), ids=list(PROFILES))
+    def test_request_at_the_caps_passes_intake(self, config, tmp_path):
+        w = build(config, tmp_path)
+        calls = []
+
+        def compile(sources, settings):
+            calls.append(sources)
+            raise CompilerFailureError("counted")
+
+        w.service.compiler = SimpleNamespace(compile=compile)
+        request = VerificationRequest(
+            sources=sources_at_caps(), settings=CompileSettings(target="a.sol:A"),
+            address=w.address)
+        with pytest.raises(CompilerFailureError, match="counted"):
+            w.service.submit_verification(request)
+        assert len(calls) == 1
 
 
 class TestCheck:

@@ -288,6 +288,39 @@ class TestStoreAndLoad:
         assert store.load(VICTIM).grade is Grade.PARTIAL
         assert not (tmp_path / "exact" / VICTIM).exists()
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    @pytest.mark.parametrize("entry", ["sources/a.sol", "record.tmp"])
+    def test_fifo_where_a_file_goes_refused_not_a_wait(self, tmp_path, entry):
+        store = RecordStore(tmp_path)
+        store.store_record(record(ATTACKER))
+        fifo = tmp_path / "partial" / VICTIM / entry
+        fifo.parent.mkdir(parents=True)
+        os.mkfifo(fifo)
+        before = store.snapshot()
+        outcome = store_with_a_fifo(store, record(VICTIM), fifo)
+        assert isinstance(outcome, DuplicateAfterNormalizationError)
+        assert store.snapshot() == before
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    def test_fifo_made_after_the_disk_check_refused_not_a_wait(
+            self, tmp_path, monkeypatch):
+        store = RecordStore(tmp_path)
+        store.store_record(record(ATTACKER))
+        before = store.snapshot()
+        fifo = tmp_path / "partial" / VICTIM / "sources" / "a.sol"
+        write_bytes = store_module._write_bytes
+
+        def write_after_a_fifo(path, data):
+            if path == str(fifo):
+                os.mkfifo(path)
+            write_bytes(path, data)
+
+        monkeypatch.setattr(store_module, "_write_bytes", write_after_a_fifo)
+        outcome = store_with_a_fifo(store, record(VICTIM), fifo)
+        assert isinstance(outcome, RecordWriteError)
+        assert store.snapshot() == before
+        assert not (tmp_path / "partial" / VICTIM).exists()
+
     def test_missing_record(self, tmp_path):
         with pytest.raises(NotVerifiedError):
             RecordStore(tmp_path).load(VICTIM)
@@ -490,6 +523,33 @@ def loads_while_writing_a_manifest(monkeypatch, store, address):
 
     store_sees_os_with(monkeypatch, write=write)
     return seen
+
+
+def store_with_a_fifo(store, new_record, fifo):
+    """What store_record(new_record) raised, run in a thread that must end
+    within seconds.  A write still waiting on fifo fails the test; a reader
+    opened on fifo then releases it."""
+    outcome = []
+
+    def write():
+        try:
+            store.store_record(new_record)
+            outcome.append(None)
+        except Exception as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=write, daemon=True)
+    thread.start()
+    thread.join(5)
+    if thread.is_alive():
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            thread.join(5)
+        finally:
+            os.close(reader)
+        pytest.fail(f"store_record still waited on {fifo} after 5 s")
+    assert outcome and isinstance(outcome[0], VerifierError), outcome
+    return outcome[0]
 
 
 def entries(root):
