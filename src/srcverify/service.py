@@ -173,18 +173,9 @@ def sanitize_path(path: str) -> str:
     return clean
 
 
-def sanitize_paths(sources: dict[str, str], *,
-                   allow_parent_refs: bool = False) -> dict[str, str]:
-    """Normalize all virtual paths of a request.
-
-    Two paths collide when they normalize to the same path, or when one is
-    a directory of the other.  With allow_parent_refs the map passes
-    through untouched, which is the naive behavior that lets a crafted
-    ``../..`` path overwrite a foreign record once the store writes it
-    verbatim.
-    """
-    if allow_parent_refs:
-        return dict(sources)
+def sanitize_paths(sources: dict[str, str]) -> dict[str, str]:
+    """Normalize all virtual paths of a request.  Two paths that normalize
+    to the same path are refused: the returned map would merge them."""
     normalized: dict[str, str] = {}
     for path, body in sources.items():
         clean = sanitize_path(path)
@@ -192,13 +183,6 @@ def sanitize_paths(sources: dict[str, str], *,
             raise DuplicateAfterNormalizationError(
                 f"{path!r} collides with another source at {clean!r}")
         normalized[clean] = body
-    folders = {clean.rsplit("/", depth)[0] for clean in normalized
-               for depth in range(1, clean.count("/") + 1)}
-    clashes = sorted(folders.intersection(normalized))
-    if clashes:
-        raise DuplicateAfterNormalizationError(
-            f"source path {clashes[0]!r} is also the directory of another "
-            "source; the store cannot hold both")
     return normalized
 
 
@@ -264,9 +248,15 @@ class VerifyService:
             raise MalformedRequestError(
                 f"request carries {len(request.sources)} sources; the cap is "
                 f"{MAX_SOURCE_FILES}")
-        # a lone surrogate is counted here and refused by the store's write
-        size = sum(len(body.encode("utf-8", "surrogatepass"))
-                   for body in request.sources.values())
+        size = 0
+        for path, body in request.sources.items():
+            try:
+                path.encode("utf-8")
+                size += len(body.encode("utf-8"))
+            except UnicodeEncodeError:
+                raise MalformedRequestError(
+                    f"source {path!r} holds a lone surrogate, which is not "
+                    f"UTF-8 text") from None
         if size > MAX_SOURCE_BYTES:
             raise MalformedRequestError(
                 f"request carries {size} bytes of source; the cap is "
@@ -280,10 +270,11 @@ class VerifyService:
         declared = {name: normalize_address(value)
                     for name, value in request.declared_libraries.items()}
 
-        sources = sanitize_paths(
-            request.sources, allow_parent_refs=cfg.allow_parent_path_refs)
-        settings = request.settings
+        sources, settings = dict(request.sources), request.settings
+        # verbatim paths are the R7 defect: a crafted ``../..`` path
+        # overwrites a foreign record once the store writes it
         if not cfg.allow_parent_path_refs:
+            sources = sanitize_paths(sources)
             clean_target = sanitize_path(settings.target_path)
             if clean_target != settings.target_path:
                 settings = replace(
@@ -457,7 +448,9 @@ class VerifyService:
             raise ImportRefusedError(
                 f"profile {self.config.name} does not accept imported records")
         accepted = []
-        for donor in other.records():
+        # every donor is read before any is admitted, so a donor store that
+        # does not read whole changes nothing
+        for donor in list(other.records()):
             try:
                 accepted.append(self._admit(replace(
                     donor, warnings=donor.warnings + [IMPORTED_WARNING],

@@ -163,21 +163,6 @@ class TestSanitizePaths:
         cleaned = sanitize_paths({"./a.sol": "x", "lib\\m.sol": "y"})
         assert cleaned == {"a.sol": "x", "lib/m.sol": "y"}
 
-    def test_naive_passthrough(self):
-        evil = {"../../victim/sources/a.sol": "x", "/abs.sol": "y"}
-        assert sanitize_paths(evil, allow_parent_refs=True) == evil
-
-    @pytest.mark.parametrize("paths", [("c/a.sol", "c/a.sol/x.sol"),
-                                       ("c/a.sol/x.sol", "./c/a.sol"),
-                                       ("c", "c/a.sol/x.sol")])
-    def test_file_that_is_another_sources_directory(self, paths):
-        with pytest.raises(DuplicateAfterNormalizationError):
-            sanitize_paths(dict.fromkeys(paths, "x"))
-
-    def test_sibling_prefixes_are_not_directories(self):
-        paths = {"c/a.sol": "x", "c/a.sol2/x.sol": "y", "c/a.so": "z"}
-        assert sanitize_paths(paths) == paths
-
 
 class TestRequestJson:
     @pytest.mark.parametrize("sources", [["contracts/a.sol"],
@@ -685,6 +670,68 @@ class TestIntakeCaps:
             w.service.submit_verification(request)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("path, body", [
+        ("contracts/a.sol", "contract A {}\ud800"),
+        ("lib/\ud800.sol", "library L {}"),
+        ("lib/\udc80.sol", "library L {}"),
+    ], ids=["body", "high-surrogate-path", "low-surrogate-path"])
+    @pytest.mark.parametrize("config", PROFILES.values(), ids=list(PROFILES))
+    def test_lone_surrogate_refused_before_compiling(self, config, path, body,
+                                                     tmp_path):
+        w = build(config, tmp_path)
+        w.service.submit_verification(w.request)
+        before = w.store.snapshot()
+        compiler = CountingCompiler()
+        w.service.compiler = compiler
+        request = dataclasses.replace(w.request,
+                                      sources={**w.sources, path: body})
+        for step in (w.service.check, w.service.submit_verification):
+            with pytest.raises(MalformedRequestError,
+                               match=re.escape(repr(path))):
+                step(request)
+        assert compiler.compiles == 0
+        assert w.store.snapshot() == before
+
+
+def request_for(w, sources):
+    """w's request for sources, targeting the first of them, served by a
+    compiler that returns w's output whatever it is given."""
+    w.service.compiler = SimpleNamespace(
+        compile=lambda sources, settings: w.output)
+    return dataclasses.replace(
+        w.request, sources=sources,
+        settings=CompileSettings(target=next(iter(sources)) + ":A"))
+
+
+# parts of a drawn source path: dot segments, a file that is another's
+# folder (c/a.sol beside c/a.sol/x.sol) and its sibling prefixes; at most
+# three parts, so no ".." climbs out of the store root.  A part repeated in
+# the list is drawn more often.
+source_paths = st.builds(
+    lambda parts, separators: "".join(
+        part + separator for part, separator in zip(parts, separators)
+    ).removesuffix("/").removesuffix("\\"),
+    st.lists(st.sampled_from(["c", "c", "a.sol", "a.sol", "a.sol2", "x.sol",
+                              ".", ".."]), min_size=1, max_size=3),
+    st.lists(st.sampled_from(["/", "/", "/", "\\"]), min_size=3, max_size=3))
+
+
+def with_surrogate(sources, where):
+    """sources with a lone surrogate added to a path or a body, or none."""
+    sources = dict(sources)
+    if where == "path":
+        sources["lib/\ud800.sol"] = "contract L {}"
+    elif where == "body":
+        sources[next(iter(sources))] += "\ud800"
+    return sources
+
+
+source_maps = st.builds(
+    with_surrogate,
+    st.dictionaries(source_paths, st.just("contract A {}"),
+                    min_size=1, max_size=4),
+    st.sampled_from([None, None, None, "path", "body"]))
+
 
 class TestCheck:
     """check decides what submit_verification would store, writing nothing."""
@@ -726,6 +773,45 @@ class TestCheck:
         with pytest.raises(VerifierError):
             w.service.check(request)
         assert w.store.snapshot() == before
+
+    @pytest.mark.parametrize("paths", [("c/a.sol", "c/a.sol/x.sol"),
+                                       ("c/a.sol/x.sol", "./c/a.sol"),
+                                       ("c", "c/a.sol/x.sol")])
+    @pytest.mark.parametrize("config", PROFILES.values(), ids=list(PROFILES))
+    def test_file_that_is_another_sources_directory(self, config, paths,
+                                                    tmp_path):
+        w = build(config, tmp_path)
+        request = request_for(w, dict.fromkeys(paths, "x"))
+        with pytest.raises(DuplicateAfterNormalizationError):
+            w.service.check(request)
+
+    @pytest.mark.parametrize("config", PROFILES.values(), ids=list(PROFILES))
+    def test_sibling_prefixes_are_not_directories(self, config, tmp_path):
+        w = build(config, tmp_path)
+        paths = {"c/a.sol": "x", "c/a.sol2/x.sol": "y", "c/a.so": "z"}
+        assert w.service.check(request_for(w, paths)).sources == paths
+
+    @settings(max_examples=60, deadline=None)
+    @given(sources=source_maps)
+    @pytest.mark.parametrize("config", PROFILES.values(), ids=list(PROFILES))
+    def test_check_foresees_every_refusal_of_the_request(self, config,
+                                                         sources):
+        """On a fresh store, check raises exactly when submit_verification
+        does, with the same class, and a refused submit writes nothing."""
+        with tempfile.TemporaryDirectory() as tmp:
+            w = build(config, Path(tmp))
+            request = request_for(w, sources)
+            refusals = []
+            for step in (w.service.check, w.service.submit_verification):
+                before = w.store.snapshot()
+                try:
+                    step(request)
+                except VerifierError as exc:
+                    refusals.append(type(exc))
+                    assert w.store.snapshot() == before
+                else:
+                    refusals.append(None)
+            assert refusals[0] is refusals[1]
 
 
 class CountingCompiler(FixtureCompiler):
@@ -1173,3 +1259,19 @@ class TestImport:
                               RecordStore(tmp_path / "scout"))
         scout.import_store(w.store)
         assert scout.import_store(w.store) == []
+
+    def test_donor_store_that_does_not_read_whole_changes_nothing(
+            self, tmp_path):
+        donors = RecordStore(tmp_path / "donors")
+        addresses = ["0x" + f"{i:02x}" * 20 for i in (1, 2, 3)]
+        for address in addresses:
+            donors.store_record(VerificationRecord(
+                address=address, grade=Grade.EXACT,
+                sources={"a.sol": "contract A {}"},
+                fully_qualified_target="a.sol:A", settings={},
+                code_hash_at_verification=bytes(32)))
+        (donors.root / "exact" / addresses[2] / "record").write_text("{")
+        w = build(NAIVE_BLOCKSCOUT_LIKE, tmp_path)
+        with pytest.raises(CorruptRecordError):
+            w.service.import_store(donors)
+        assert w.store.snapshot() == {}
